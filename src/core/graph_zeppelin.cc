@@ -45,6 +45,19 @@ GraphZeppelin::~GraphZeppelin() {
   if (!sketch_store_path_.empty()) ::unlink(sketch_store_path_.c_str());
 }
 
+size_t GraphZeppelin::LeafGutterUpdates(const GraphZeppelinConfig& config) {
+  NodeSketchParams sp;
+  sp.num_nodes = config.num_nodes;
+  sp.cols = config.cols;
+  sp.rounds = config.rounds;
+  // Gutter capacity = f * sketch_bytes / 8B-per-update.
+  const size_t sketch_bytes = NodeSketch::SerializedSizeFor(sp);
+  return std::max<size_t>(
+      1, static_cast<size_t>(config.gutter_fraction *
+                             static_cast<double>(sketch_bytes)) /
+             sizeof(uint64_t));
+}
+
 Status GraphZeppelin::Init() {
   if (initialized_) return Status::FailedPrecondition("already initialized");
 
@@ -75,11 +88,8 @@ Status GraphZeppelin::Init() {
   queue_ = std::make_unique<WorkQueue>(
       static_cast<size_t>(8) * config_.num_workers);
 
-  // Buffering system. Gutter capacity = f * sketch_bytes / 8B-per-update.
-  const size_t gutter_updates = std::max<size_t>(
-      1, static_cast<size_t>(config_.gutter_fraction *
-                             static_cast<double>(node_sketch_bytes_)) /
-             sizeof(uint64_t));
+  // Buffering system.
+  const size_t gutter_updates = LeafGutterUpdates(config_);
   // One slab size serves the whole pipeline: every emitted batch fits.
   batch_pool_ = std::make_unique<BatchPool>(
       static_cast<uint32_t>(gutter_updates));

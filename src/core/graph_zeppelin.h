@@ -194,6 +194,10 @@ class GraphZeppelin {
   const NodeSketchParams& sketch_params() const;
   // Bytes of one node sketch (drives gutter sizing).
   size_t node_sketch_bytes() const { return node_sketch_bytes_; }
+  // Updates one leaf gutter holds under `config`: gutter_fraction of a
+  // node sketch's bytes, at 8 bytes per buffered update. This is also
+  // the size of the node batches the workers hand the sketch kernel.
+  static size_t LeafGutterUpdates(const GraphZeppelinConfig& config);
   size_t RamByteSize() const;
   size_t DiskByteSize() const;
 

@@ -57,6 +57,11 @@ void CubeSketch::Update(uint64_t idx) {
 }
 
 void CubeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
+  UpdateBatchWithKernel(ActiveSketchKernel(), indices, count);
+}
+
+void CubeSketch::UpdateBatchWithKernel(SketchKernel kernel,
+                                       const uint64_t* indices, size_t count) {
   if (count == 0) return;
   // Span-level bounds check, hoisted out of the per-update path: one
   // max-reduction pass (vectorizable) instead of a branch per update.
@@ -65,37 +70,28 @@ void CubeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
     max_idx = indices[i] > max_idx ? indices[i] : max_idx;
   }
   GZ_CHECK_MSG(max_idx < params_.vector_len, "batch index out of range");
-  UpdateBatchPrechecked(indices, count);
-}
-
-void CubeSketch::UpdateBatchPrechecked(const uint64_t* indices, size_t count) {
-  CubeSketchUpdateBatch(ActiveSketchKernel(), KernelArgs(indices, count));
-}
-
-void CubeSketch::UpdateBatchWithKernel(SketchKernel kernel,
-                                       const uint64_t* indices, size_t count) {
-  if (count == 0) return;
-  uint64_t max_idx = 0;
-  for (size_t i = 0; i < count; ++i) {
-    max_idx = indices[i] > max_idx ? indices[i] : max_idx;
-  }
-  GZ_CHECK_MSG(max_idx < params_.vector_len, "batch index out of range");
   CubeSketchUpdateBatch(kernel, KernelArgs(indices, count));
+}
+
+CubeSketchBuckets CubeSketch::KernelBuckets() {
+  CubeSketchBuckets b;
+  b.col_seeds = col_seeds_.data();
+  b.gamma_seeds = gamma_seeds_.data();
+  b.alphas = alphas_.data();
+  b.gammas = gammas_.data();
+  b.det_alpha = &det_alpha_;
+  b.det_gamma = &det_gamma_;
+  return b;
 }
 
 CubeSketchKernelArgs CubeSketch::KernelArgs(const uint64_t* indices,
                                             size_t count) {
   CubeSketchKernelArgs args;
+  static_cast<CubeSketchBuckets&>(args) = KernelBuckets();
   args.indices = indices;
   args.count = count;
   args.cols = params_.cols;
   args.rows = rows_;
-  args.col_seeds = col_seeds_.data();
-  args.gamma_seeds = gamma_seeds_.data();
-  args.alphas = alphas_.data();
-  args.gammas = gammas_.data();
-  args.det_alpha = &det_alpha_;
-  args.det_gamma = &det_gamma_;
   return args;
 }
 

@@ -46,16 +46,11 @@ class CubeSketch {
   void Update(uint64_t idx);
 
   // Applies a batch of toggles through the active sketch kernel
-  // (sketch_kernel.h): indices are bounds-checked once for the whole
-  // span, then processed in lane groups — 4 (AVX2) or 8 (AVX-512)
-  // placement hashes, checksums, and bucket depths per column computed
-  // in SIMD, followed by a scalar scatter-XOR into the bucket rows.
-  // Bitwise-identical to calling Update() per index, for every kernel.
+  // (sketch_kernel.h), as its one-round case: indices are
+  // bounds-checked once for the whole span, then premixed per chunk and
+  // hashed in lane groups. Bitwise-identical to calling Update() per
+  // index, for every kernel.
   void UpdateBatch(const uint64_t* indices, size_t count);
-
-  // Same, for callers that already validated every index against
-  // vector_len (NodeSketch hoists one span check over all rounds).
-  void UpdateBatchPrechecked(const uint64_t* indices, size_t count);
 
   // Same as UpdateBatch but with an explicit kernel, so tests and
   // benches can compare kernels within one process.
@@ -71,6 +66,10 @@ class CubeSketch {
 
   // Resets to the sketch of the zero vector.
   void Clear();
+
+  // Borrowing view of this sketch's seeds and buckets for the kernel
+  // (NodeSketch hands one per round to NodeSketchUpdateBatch).
+  CubeSketchBuckets KernelBuckets();
 
   const CubeSketchParams& params() const { return params_; }
   int rows() const { return rows_; }

@@ -38,13 +38,17 @@ NodeSketch::NodeSketch(const NodeSketchParams& params) : params_(params) {
 }
 
 void NodeSketch::Update(uint64_t edge_index) {
-  for (CubeSketch& s : subsketches_) s.Update(edge_index);
+  GZ_CHECK_MSG(edge_index < subsketches_.front().params().vector_len,
+               "edge index out of range");
+  // A single index can't fill a lane group; the scalar kernel is the
+  // reference path and the fastest choice here.
+  ApplyKernel(SketchKernel::kScalar, &edge_index, 1);
 }
 
 void NodeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
   if (count == 0) return;
   // One span-level bounds check covers every round's subsketch (they
-  // all share vector_len), so the kernels run with no per-update or
+  // all share vector_len), so the kernel runs with no per-update or
   // per-round validation at all.
   const uint64_t vector_len = subsketches_.front().params().vector_len;
   uint64_t max_idx = 0;
@@ -52,7 +56,28 @@ void NodeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
     max_idx = indices[i] > max_idx ? indices[i] : max_idx;
   }
   GZ_CHECK_MSG(max_idx < vector_len, "batch edge index out of range");
-  for (CubeSketch& s : subsketches_) s.UpdateBatchPrechecked(indices, count);
+  ApplyKernel(ActiveSketchKernel(), indices, count);
+}
+
+void NodeSketch::ApplyKernel(SketchKernel kernel, const uint64_t* indices,
+                             size_t count) {
+  // Per-round bucket views on the stack, in groups so any round count
+  // works without allocating.
+  constexpr int kRoundsPerCall = 64;
+  CubeSketchBuckets buckets[kRoundsPerCall];
+  NodeSketchKernelArgs args;
+  args.indices = indices;
+  args.count = count;
+  args.cols = subsketches_.front().cols();
+  args.rows = subsketches_.front().rows();
+  args.rounds = buckets;
+  for (int first = 0; first < rounds(); first += kRoundsPerCall) {
+    args.num_rounds = std::min(kRoundsPerCall, rounds() - first);
+    for (int r = 0; r < args.num_rounds; ++r) {
+      buckets[r] = subsketches_[first + r].KernelBuckets();
+    }
+    NodeSketchUpdateBatch(kernel, args);
+  }
 }
 
 SketchSample NodeSketch::Query(int round) const {

@@ -43,13 +43,12 @@ class NodeSketch {
   // Applies one edge-index toggle to every round's subsketch.
   void Update(uint64_t edge_index);
 
-  // Applies a batch of edge-index toggles. Iterates subsketch-major so
-  // each CubeSketch's buckets stay cache-resident across the batch
-  // (this ordering is also the unit of the paper's sketch-level
-  // parallelism). Bounds-checks the span once, then feeds each round's
-  // CubeSketch the whole index span through the active SIMD sketch
-  // kernel (sketch_kernel.h) — the ingest workers' delta sketches go
-  // through exactly this path.
+  // Applies a batch of edge-index toggles to every round in one
+  // sketch-kernel call (NodeSketchUpdateBatch, sketch_kernel.h): the
+  // span is bounds-checked once, then each chunk of indices is premixed
+  // once and hashed for all rounds and columns through the active SIMD
+  // kernel. The ingest workers' delta sketches go through exactly this
+  // path. Bitwise-identical to calling Update() per index.
   void UpdateBatch(const uint64_t* indices, size_t count);
 
   // Samples an incident (cut) edge index from round `round`'s subsketch.
@@ -87,6 +86,10 @@ class NodeSketch {
   }
 
  private:
+  // Runs the kernel over every round; indices already validated.
+  void ApplyKernel(SketchKernel kernel, const uint64_t* indices,
+                   size_t count);
+
   NodeSketchParams params_;
   std::vector<CubeSketch> subsketches_;
 };

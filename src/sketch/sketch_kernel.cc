@@ -1,5 +1,6 @@
 #include "sketch/sketch_kernel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -13,94 +14,147 @@
 namespace gz {
 namespace {
 
-// ---- Scalar reference path -------------------------------------------
-//
-// This is THE definition of a sketch update; every SIMD kernel below
-// must reproduce its bucket writes bit for bit. CubeSketch::Update
-// routes through here too, so there is exactly one copy of the math.
+// rows = bit_width(vector_len - 1) + 1 <= 65.
+constexpr int kMaxRows = 65;
 
-inline void UpdateOneScalar(const CubeSketchKernelArgs& a, uint64_t idx) {
-  const uint64_t enc = idx + 1;  // 0 is reserved for "empty".
+// One premixed chunk of the span: indices[i] and premix[i] =
+// XxHash64WordPremix(indices[i] + 1) for i < count.
+struct Chunk {
+  const uint64_t* indices;
+  const uint64_t* premix;
+  size_t count;
+};
 
-  *a.det_alpha ^= enc;
-  *a.det_gamma ^=
-      static_cast<uint32_t>(XxHash64Word(enc, a.gamma_seeds[a.cols]));
+// Applies a chunk to one round's buckets (all but the det alpha, which
+// RunChunks folds once for every round).
+using RoundChunkFn = void (*)(const Chunk& chunk, int cols, int rows,
+                              const CubeSketchBuckets& b);
 
-  for (int c = 0; c < a.cols; ++c) {
-    const uint64_t h = XxHash64Word(enc, a.col_seeds[c]);
-    // Rows 0..z where z = number of trailing zero bits of h (capped).
-    int depth = (h == 0) ? a.rows - 1 : std::countr_zero(h);
-    if (depth > a.rows - 1) depth = a.rows - 1;
-    const uint32_t checksum =
-        static_cast<uint32_t>(XxHash64Word(enc, a.gamma_seeds[c]));
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    for (int r = 0; r <= depth; ++r) {
-      alpha[r] ^= enc;
-      gamma[r] ^= checksum;
+// Walks the span in stack chunks, premixes each chunk once and hands
+// it to `apply` for every round.
+void RunChunks(const NodeSketchKernelArgs& a, RoundChunkFn apply) {
+  GZ_CHECK(a.rows >= 1 && a.rows <= kMaxRows);
+  alignas(64) uint64_t premix[kSketchKernelChunk];
+  for (size_t start = 0; start < a.count; start += kSketchKernelChunk) {
+    const size_t n = std::min(kSketchKernelChunk, a.count - start);
+    const uint64_t* indices = a.indices + start;
+    // The det bucket's alpha is the XOR of the encoded indices in every
+    // round alike.
+    uint64_t det_alpha = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t enc = indices[i] + 1;  // 0 is reserved for "empty".
+      det_alpha ^= enc;
+      premix[i] = XxHash64WordPremix(enc);
+    }
+    const Chunk chunk{indices, premix, n};
+    for (int r = 0; r < a.num_rounds; ++r) {
+      *a.rounds[r].det_alpha ^= det_alpha;
+      apply(chunk, a.cols, a.rows, a.rounds[r]);
     }
   }
 }
 
-void UpdateBatchScalar(const CubeSketchKernelArgs& a) {
-  for (size_t i = 0; i < a.count; ++i) UpdateOneScalar(a, a.indices[i]);
+// Folds a per-row difference array into bucket rows [first_row, rows):
+// row r receives diff[r] ^ ... ^ diff[rows - 1], i.e. the XOR of every
+// update whose depth is >= r. Leaves diff[first_row, rows) zeroed for
+// the next column. Checksums truncate to 32 bits at the end, which
+// commutes with XOR.
+inline void FoldDiffRows(int first_row, int rows, uint64_t* diff_alpha,
+                         uint64_t* diff_gamma, uint64_t* alpha,
+                         uint32_t* gamma) {
+  uint64_t acc_alpha = 0;
+  uint64_t acc_gamma = 0;
+  for (int r = rows - 1; r >= first_row; --r) {
+    acc_alpha ^= diff_alpha[r];
+    acc_gamma ^= diff_gamma[r];
+    diff_alpha[r] = 0;
+    diff_gamma[r] = 0;
+    alpha[r] ^= acc_alpha;
+    gamma[r] ^= static_cast<uint32_t>(acc_gamma);
+  }
+}
+
+// ---- Scalar reference path -------------------------------------------
+//
+// This is THE definition of a sketch update; every SIMD kernel below
+// must reproduce its bucket writes bit for bit: encoded index
+// enc = idx + 1 toggles rows 0..depth of column c, where depth is the
+// trailing-zero count of XxHash64Word(enc, col_seeds[c]) capped at
+// rows - 1, and each row's gamma takes the 32-bit checksum
+// XxHash64Word(enc, gamma_seeds[c]).
+inline int BucketDepth(uint64_t h, int rows) {
+  const int depth = (h == 0) ? rows - 1 : std::countr_zero(h);
+  return depth > rows - 1 ? rows - 1 : depth;
+}
+
+inline void UpdateColumnScalar(uint64_t enc, uint64_t premix,
+                               uint64_t col_seed, uint64_t gamma_seed,
+                               int rows, uint64_t* alpha, uint32_t* gamma) {
+  const int depth = BucketDepth(XxHash64WordFinish(premix, col_seed), rows);
+  const uint32_t checksum =
+      static_cast<uint32_t>(XxHash64WordFinish(premix, gamma_seed));
+  for (int r = 0; r <= depth; ++r) {
+    alpha[r] ^= enc;
+    gamma[r] ^= checksum;
+  }
+}
+
+void RoundChunkScalar(const Chunk& ch, int cols, int rows,
+                      const CubeSketchBuckets& b) {
+  uint64_t det_gamma = 0;
+  for (size_t i = 0; i < ch.count; ++i) {
+    det_gamma ^= XxHash64WordFinish(ch.premix[i], b.gamma_seeds[cols]);
+  }
+  *b.det_gamma ^= static_cast<uint32_t>(det_gamma);
+  for (int c = 0; c < cols; ++c) {
+    uint64_t* alpha = b.alphas + static_cast<size_t>(c) * rows;
+    uint32_t* gamma = b.gammas + static_cast<size_t>(c) * rows;
+    for (size_t i = 0; i < ch.count; ++i) {
+      UpdateColumnScalar(ch.indices[i] + 1, ch.premix[i], b.col_seeds[c],
+                         b.gamma_seeds[c], rows, alpha, gamma);
+    }
+  }
 }
 
 #if defined(__x86_64__)
 
 // See the matching pragma in util/xxhash_lanes.h: GCC 12 attributes its
 // PR 105593 false positive to the function the intrinsics inline into,
-// so the kernels need the suppression as well.
+// so the kernels need the suppression as well (the shuffle intrinsics
+// report it as a definite -Wuninitialized).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 
-// ---- SIMD kernels ----------------------------------------------------
+// ---- AVX2: lane hashes, difference scatter ---------------------------
 //
-// Two amortizations over the scalar path:
-//
-//  1. Hashes in lanes: per lane group (4 under AVX2, 8 under AVX-512)
-//     one placement hash, one checksum hash, and one capped-tzcnt per
-//     column are computed in SIMD instead of per update.
-//
-//  2. Scatter via a depth-indexed difference accumulator: the scalar
-//     path XORs rows 0..depth per update — a data-dependent inner loop
-//     whose branch mispredicts on every geometric depth draw. Since
-//     bucket row r receives exactly the XOR of all updates with
-//     depth >= r, each update instead XORs once into diff[depth]
-//     (branchless), and one suffix-XOR sweep per column folds the
-//     whole batch into the bucket rows. Pure XOR reassociation:
-//     bit-identical to the scalar writes.
-//
-// Truncating checksums to 32 bits commutes with XOR, so the diff and
-// det accumulators fold full 64-bit lanes and truncate at the end.
-
-// rows = bit_width(vector_len - 1) + 1 <= 65.
-constexpr int kMaxRows = 65;
-
-GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
-  GZ_CHECK(a.rows <= kMaxRows);
+// Per lane group of 4: the placement hash, checksum and capped depth of
+// every lane in SIMD (2 finishes of 3 emulated multiplies each, from
+// the chunk's premix). The lanes are then stored and each XORs once
+// into diff[depth] (branchless), and one suffix sweep per column folds
+// the chunk into the bucket rows. The < 4-index chunk tail runs the
+// scalar reference.
+GZ_TARGET_AVX2 void RoundChunkAvx2(const Chunk& ch, int cols, int rows,
+                                   const CubeSketchBuckets& b) {
   const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i cap = _mm256_set1_epi64x(a.rows - 1);
-  const size_t main = a.count & ~static_cast<size_t>(3);
+  const __m256i cap = _mm256_set1_epi64x(rows - 1);
+  const size_t main = ch.count & ~static_cast<size_t>(3);
 
-  // Deterministic bucket: every update lands in it, no depth involved.
   {
-    const uint64_t det_seed = a.gamma_seeds[a.cols];
-    __m256i alpha_acc = _mm256_setzero_si256();
-    __m256i gamma_acc = _mm256_setzero_si256();
+    const uint64_t det_seed = b.gamma_seeds[cols];
+    __m256i acc = _mm256_setzero_si256();
     for (size_t i = 0; i < main; i += 4) {
-      const __m256i enc = _mm256_add_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.indices + i)),
-          one);
-      alpha_acc = _mm256_xor_si256(alpha_acc, enc);
-      gamma_acc = _mm256_xor_si256(gamma_acc, XxHash64Word4(enc, det_seed));
+      const __m256i premix =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ch.premix + i));
+      acc = _mm256_xor_si256(acc, XxHash64WordFinish4(premix, det_seed));
     }
     alignas(32) uint64_t fold[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(fold), alpha_acc);
-    *a.det_alpha ^= fold[0] ^ fold[1] ^ fold[2] ^ fold[3];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(fold), gamma_acc);
-    *a.det_gamma ^=
-        static_cast<uint32_t>(fold[0] ^ fold[1] ^ fold[2] ^ fold[3]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(fold), acc);
+    uint64_t det_gamma = fold[0] ^ fold[1] ^ fold[2] ^ fold[3];
+    for (size_t i = main; i < ch.count; ++i) {
+      det_gamma ^= XxHash64WordFinish(ch.premix[i], det_seed);
+    }
+    *b.det_gamma ^= static_cast<uint32_t>(det_gamma);
   }
 
   alignas(32) uint64_t enc_lanes[4];
@@ -108,16 +162,18 @@ GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
   alignas(32) uint64_t chk_lanes[4];
   uint64_t diff_alpha[kMaxRows];
   uint64_t diff_gamma[kMaxRows];
+  std::fill_n(diff_alpha, rows, 0);
+  std::fill_n(diff_gamma, rows, 0);
 
-  for (int c = 0; c < a.cols; ++c) {
-    std::memset(diff_alpha, 0, sizeof(uint64_t) * a.rows);
-    std::memset(diff_gamma, 0, sizeof(uint64_t) * a.rows);
+  for (int c = 0; c < cols; ++c) {
     for (size_t i = 0; i < main; i += 4) {
       const __m256i enc = _mm256_add_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a.indices + i)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ch.indices + i)),
           one);
-      const __m256i h = XxHash64Word4(enc, a.col_seeds[c]);
-      const __m256i chk = XxHash64Word4(enc, a.gamma_seeds[c]);
+      const __m256i premix =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ch.premix + i));
+      const __m256i h = XxHash64WordFinish4(premix, b.col_seeds[c]);
+      const __m256i chk = XxHash64WordFinish4(premix, b.gamma_seeds[c]);
       const __m256i depth = TrailingZerosCapped4(h, cap);
       _mm256_store_si256(reinterpret_cast<__m256i*>(enc_lanes), enc);
       _mm256_store_si256(reinterpret_cast<__m256i*>(depth_lanes), depth);
@@ -128,87 +184,139 @@ GZ_TARGET_AVX2 void UpdateBatchAvx2(const CubeSketchKernelArgs& a) {
         diff_gamma[d] ^= chk_lanes[lane];
       }
     }
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    uint64_t acc_alpha = 0;
-    uint64_t acc_gamma = 0;
-    for (int r = a.rows - 1; r >= 0; --r) {
-      acc_alpha ^= diff_alpha[r];
-      acc_gamma ^= diff_gamma[r];
-      alpha[r] ^= acc_alpha;
-      gamma[r] ^= static_cast<uint32_t>(acc_gamma);
+    uint64_t* alpha = b.alphas + static_cast<size_t>(c) * rows;
+    uint32_t* gamma = b.gammas + static_cast<size_t>(c) * rows;
+    FoldDiffRows(0, rows, diff_alpha, diff_gamma, alpha, gamma);
+    for (size_t i = main; i < ch.count; ++i) {
+      UpdateColumnScalar(ch.indices[i] + 1, ch.premix[i], b.col_seeds[c],
+                         b.gamma_seeds[c], rows, alpha, gamma);
     }
   }
-
-  for (size_t i = main; i < a.count; ++i) UpdateOneScalar(a, a.indices[i]);
 }
 
-GZ_TARGET_AVX512 void UpdateBatchAvx512(const CubeSketchKernelArgs& a) {
-  GZ_CHECK(a.rows <= kMaxRows);
+// ---- AVX-512: register rows, compress spill --------------------------
+//
+// Per lane group of 8, the two hashes as under AVX2, then a scatter
+// with no branch on any hash value:
+//  - rows r < kSketchKernelRegisterRows accumulate in zmm registers:
+//    row 0 XORs every lane, row r XORs the lanes whose placement hash
+//    has at least r trailing zero bits (one vptestnmq against 2^r - 1,
+//    so the depth itself is never computed in SIMD; h == 0 passes every
+//    test, which is the scalar path's saturated depth);
+//  - lanes with at least kSketchKernelRegisterRows trailing zeros are
+//    compressed to the front of the vector and stored whole at the
+//    spill offset, which advances by their popcount.
+// After the chunk, the register rows are XOR-reduced into the buckets
+// and one scalar pass turns each spilled hash into its capped depth and
+// folds the spill into the deeper rows. The chunk tail is the same code
+// under a lane mask.
+
+constexpr int kRegisterRows = kSketchKernelRegisterRows;
+static_assert(kRegisterRows >= 1 && kRegisterRows <= 8);
+
+// XOR of the 8 lanes: swap and fold 256-bit halves, 128-bit quarters,
+// then 64-bit pairs.
+GZ_TARGET_AVX512 inline uint64_t XorReduce8(__m512i v) {
+  v = _mm512_xor_si512(v, _mm512_shuffle_i64x2(v, v, 0x4E));
+  v = _mm512_xor_si512(v, _mm512_shuffle_i64x2(v, v, 0xB1));
+  v = _mm512_xor_si512(v, _mm512_shuffle_epi32(v, _MM_PERM_BADC));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(_mm512_castsi512_si128(v)));
+}
+
+// Mask of the lanes of the group at `i` that hold indices.
+inline __mmask8 GroupLanes(size_t i, size_t count) {
+  const size_t rest = count - i;
+  return rest >= 8 ? static_cast<__mmask8>(0xFF)
+                   : static_cast<__mmask8>((1u << rest) - 1);
+}
+
+GZ_TARGET_AVX512 void RoundChunkAvx512(const Chunk& ch, int cols, int rows,
+                                       const CubeSketchBuckets& b) {
   const __m512i one = _mm512_set1_epi64(1);
-  const __m512i cap = _mm512_set1_epi64(a.rows - 1);
-  const size_t main = a.count & ~static_cast<size_t>(7);
 
   {
-    const uint64_t det_seed = a.gamma_seeds[a.cols];
-    __m512i alpha_acc = _mm512_setzero_si512();
-    __m512i gamma_acc = _mm512_setzero_si512();
-    for (size_t i = 0; i < main; i += 8) {
-      const __m512i enc = _mm512_add_epi64(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a.indices + i)),
-          one);
-      alpha_acc = _mm512_xor_si512(alpha_acc, enc);
-      gamma_acc = _mm512_xor_si512(gamma_acc, XxHash64Word8(enc, det_seed));
+    const uint64_t det_seed = b.gamma_seeds[cols];
+    __m512i acc = _mm512_setzero_si512();
+    for (size_t i = 0; i < ch.count; i += 8) {
+      const __mmask8 lanes = GroupLanes(i, ch.count);
+      const __m512i premix = _mm512_maskz_loadu_epi64(lanes, ch.premix + i);
+      acc = _mm512_mask_xor_epi64(acc, lanes, acc,
+                                  XxHash64WordFinish8(premix, det_seed));
     }
-    alignas(64) uint64_t fold[8];
-    _mm512_store_si512(reinterpret_cast<void*>(fold), alpha_acc);
-    uint64_t da = 0;
-    for (uint64_t f : fold) da ^= f;
-    *a.det_alpha ^= da;
-    _mm512_store_si512(reinterpret_cast<void*>(fold), gamma_acc);
-    uint64_t dg = 0;
-    for (uint64_t f : fold) dg ^= f;
-    *a.det_gamma ^= static_cast<uint32_t>(dg);
+    *b.det_gamma ^= static_cast<uint32_t>(XorReduce8(acc));
   }
 
-  alignas(64) uint64_t enc_lanes[8];
-  alignas(64) uint64_t depth_lanes[8];
-  alignas(64) uint64_t chk_lanes[8];
+  // A lane group stores all 8 lanes at the spill offset, so the buffers
+  // carry one group of slack.
+  alignas(64) uint64_t spill_enc[kSketchKernelChunk + 8];
+  alignas(64) uint64_t spill_chk[kSketchKernelChunk + 8];
+  alignas(64) uint64_t spill_hash[kSketchKernelChunk + 8];
   uint64_t diff_alpha[kMaxRows];
   uint64_t diff_gamma[kMaxRows];
+  std::fill_n(diff_alpha, rows, 0);
+  std::fill_n(diff_gamma, rows, 0);
+  // With rows <= kRegisterRows every row is a register row: no spill.
+  const __mmask8 spill_lanes = rows > kRegisterRows ? 0xFF : 0;
+  const __m512i deep_bits =
+      _mm512_set1_epi64((int64_t{1} << kRegisterRows) - 1);
 
-  for (int c = 0; c < a.cols; ++c) {
-    std::memset(diff_alpha, 0, sizeof(uint64_t) * a.rows);
-    std::memset(diff_gamma, 0, sizeof(uint64_t) * a.rows);
-    for (size_t i = 0; i < main; i += 8) {
+  for (int c = 0; c < cols; ++c) {
+    __m512i acc_alpha[kRegisterRows];
+    __m512i acc_gamma[kRegisterRows];
+#pragma GCC unroll 8
+    for (int r = 0; r < kRegisterRows; ++r) {
+      acc_alpha[r] = _mm512_setzero_si512();
+      acc_gamma[r] = _mm512_setzero_si512();
+    }
+    size_t spilled = 0;
+    for (size_t i = 0; i < ch.count; i += 8) {
+      const __mmask8 lanes = GroupLanes(i, ch.count);
       const __m512i enc = _mm512_add_epi64(
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a.indices + i)),
-          one);
-      const __m512i h = XxHash64Word8(enc, a.col_seeds[c]);
-      const __m512i chk = XxHash64Word8(enc, a.gamma_seeds[c]);
-      const __m512i depth = TrailingZerosCapped8(h, cap);
-      _mm512_store_si512(reinterpret_cast<void*>(enc_lanes), enc);
-      _mm512_store_si512(reinterpret_cast<void*>(depth_lanes), depth);
-      _mm512_store_si512(reinterpret_cast<void*>(chk_lanes), chk);
-      for (int lane = 0; lane < 8; ++lane) {
-        const uint64_t d = depth_lanes[lane];
-        diff_alpha[d] ^= enc_lanes[lane];
-        diff_gamma[d] ^= chk_lanes[lane];
+          _mm512_maskz_loadu_epi64(lanes, ch.indices + i), one);
+      const __m512i premix = _mm512_maskz_loadu_epi64(lanes, ch.premix + i);
+      const __m512i h = XxHash64WordFinish8(premix, b.col_seeds[c]);
+      const __m512i chk = XxHash64WordFinish8(premix, b.gamma_seeds[c]);
+      acc_alpha[0] = _mm512_mask_xor_epi64(acc_alpha[0], lanes, acc_alpha[0],
+                                           enc);
+      acc_gamma[0] = _mm512_mask_xor_epi64(acc_gamma[0], lanes, acc_gamma[0],
+                                           chk);
+#pragma GCC unroll 8
+      for (int r = 1; r < kRegisterRows; ++r) {
+        const __mmask8 in_row = _mm512_mask_testn_epi64_mask(
+            lanes, h, _mm512_set1_epi64((int64_t{1} << r) - 1));
+        acc_alpha[r] = _mm512_mask_xor_epi64(acc_alpha[r], in_row,
+                                             acc_alpha[r], enc);
+        acc_gamma[r] = _mm512_mask_xor_epi64(acc_gamma[r], in_row,
+                                             acc_gamma[r], chk);
+      }
+      const __mmask8 deep =
+          _mm512_mask_testn_epi64_mask(lanes & spill_lanes, h, deep_bits);
+      _mm512_storeu_si512(spill_enc + spilled,
+                          _mm512_maskz_compress_epi64(deep, enc));
+      _mm512_storeu_si512(spill_chk + spilled,
+                          _mm512_maskz_compress_epi64(deep, chk));
+      _mm512_storeu_si512(spill_hash + spilled,
+                          _mm512_maskz_compress_epi64(deep, h));
+      spilled += static_cast<size_t>(
+          std::popcount(static_cast<unsigned>(deep)));
+    }
+
+    uint64_t* alpha = b.alphas + static_cast<size_t>(c) * rows;
+    uint32_t* gamma = b.gammas + static_cast<size_t>(c) * rows;
+    for (size_t j = 0; j < spilled; ++j) {
+      const int depth = BucketDepth(spill_hash[j], rows);
+      diff_alpha[depth] ^= spill_enc[j];
+      diff_gamma[depth] ^= spill_chk[j];
+    }
+    FoldDiffRows(kRegisterRows, rows, diff_alpha, diff_gamma, alpha, gamma);
+#pragma GCC unroll 8
+    for (int r = 0; r < kRegisterRows; ++r) {
+      if (r < rows) {
+        alpha[r] ^= XorReduce8(acc_alpha[r]);
+        gamma[r] ^= static_cast<uint32_t>(XorReduce8(acc_gamma[r]));
       }
     }
-    uint64_t* alpha = a.alphas + static_cast<size_t>(c) * a.rows;
-    uint32_t* gamma = a.gammas + static_cast<size_t>(c) * a.rows;
-    uint64_t acc_alpha = 0;
-    uint64_t acc_gamma = 0;
-    for (int r = a.rows - 1; r >= 0; --r) {
-      acc_alpha ^= diff_alpha[r];
-      acc_gamma ^= diff_gamma[r];
-      alpha[r] ^= acc_alpha;
-      gamma[r] ^= static_cast<uint32_t>(acc_gamma);
-    }
   }
-
-  for (size_t i = main; i < a.count; ++i) UpdateOneScalar(a, a.indices[i]);
 }
 
 // ---- Lane-hash batch entries -----------------------------------------
@@ -345,17 +453,17 @@ void ForceSketchKernel(SketchKernel kernel) {
   g_forced_kernel.store(static_cast<int>(kernel), std::memory_order_relaxed);
 }
 
-void CubeSketchUpdateBatch(SketchKernel kernel,
-                           const CubeSketchKernelArgs& args) {
+void NodeSketchUpdateBatch(SketchKernel kernel,
+                           const NodeSketchKernelArgs& args) {
   switch (kernel) {
 #if defined(__x86_64__)
     case SketchKernel::kAvx2:
       GZ_CHECK(SketchKernelSupported(kernel));
-      UpdateBatchAvx2(args);
+      RunChunks(args, RoundChunkAvx2);
       return;
     case SketchKernel::kAvx512:
       GZ_CHECK(SketchKernelSupported(kernel));
-      UpdateBatchAvx512(args);
+      RunChunks(args, RoundChunkAvx512);
       return;
 #else
     case SketchKernel::kAvx2:
@@ -364,10 +472,21 @@ void CubeSketchUpdateBatch(SketchKernel kernel,
       return;
 #endif
     case SketchKernel::kScalar:
-      UpdateBatchScalar(args);
-      return;
+      break;
   }
-  UpdateBatchScalar(args);
+  RunChunks(args, RoundChunkScalar);
+}
+
+void CubeSketchUpdateBatch(SketchKernel kernel,
+                           const CubeSketchKernelArgs& args) {
+  NodeSketchKernelArgs node;
+  node.indices = args.indices;
+  node.count = args.count;
+  node.cols = args.cols;
+  node.rows = args.rows;
+  node.rounds = &args;  // The one round's buckets.
+  node.num_rounds = 1;
+  NodeSketchUpdateBatch(kernel, node);
 }
 
 void XxHash64WordBatch(SketchKernel kernel, const uint64_t* values,

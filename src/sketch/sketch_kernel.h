@@ -1,23 +1,53 @@
 // Batched sketch-update kernel with runtime SIMD dispatch.
 //
-// The ingest hot loop is sketch-bound: every update costs
-// (cols + 1) * rounds XxHash64Word calls plus a short XOR scatter, all
-// of which the seed implementation ran scalar, one update at a time.
-// This kernel amortizes the hashing over a lane group of updates —
-// 4 lanes under AVX2, 8 under AVX-512 — computing placement hashes,
-// bucket depths (trailing zeros) and checksums in SIMD, and only then
-// performing the scalar scatter-XOR into bucket rows (scatters are
-// short, depth-dependent, and XOR-commutative, so vectorizing them
-// buys nothing).
+// The ingest hot loop is sketch-bound: every index a node sketch
+// absorbs costs (cols + 1) hashes in each of its rounds plus a short
+// XOR scatter into the bucket rows. One entry, NodeSketchUpdateBatch,
+// applies a whole span of indices to every round of one node sketch
+// (a CubeSketch is the one-round case), so there is one copy of the
+// update math. It amortizes three ways:
+//
+//  1. Premix once per index. XxHash64Word splits into a seed-free
+//     premix (XXH64's Round(0, value), 2 multiplies) and a seeded
+//     finish (3 multiplies). The span is walked in stack chunks of
+//     kSketchKernelChunk indices; each chunk is premixed once, and
+//     every round, column and checksum hash finishes from that premix.
+//     At the default 21 rounds x 15 hashes this removes 2 of the 5
+//     multiplies from 315 hashes per index.
+//
+//  2. Hashes in lanes: 4 (AVX2) or 8 (AVX-512) indices per lane group
+//     get their placement hash and checksum in SIMD.
+//
+//  3. A scatter without data-dependent branches. Bucket row r of a
+//     column receives the XOR of every index whose depth (trailing
+//     zeros of the placement hash, capped at rows - 1) is >= r.
+//     - AVX-512 keeps rows below kSketchKernelRegisterRows in zmm
+//       accumulators: row 0 XORs every lane, row r XORs under the
+//       mask depth >= r. Lanes deeper than that (1 in 16 for 4
+//       register rows) are spilled without a branch: a
+//       maskz_compress of the lane group stored at a popcount-advanced
+//       offset in a chunk-sized stack buffer. After each chunk one
+//       scalar pass XORs the spill into a per-row difference array and
+//       a suffix sweep folds it into the deep rows.
+//     - AVX2 computes the depths in SIMD, stores the lanes and XORs
+//       each into diff[depth], then runs the same suffix sweep over
+//       all rows.
+//     Depths are geometric draws, so any branch on them (a per-row
+//     loop, or a per-group "any lane deep?" test) mispredicts on fresh
+//     data; a benchmark that replays one batch lets the predictor learn
+//     it and hides that cost. The AVX-512 path therefore branches only
+//     on counts, never on hash values.
 //
 // Every kernel is bitwise-identical to the scalar path: same hash
-// function, same bucket algebra — only the evaluation order of XORs
+// function, same bucket algebra; only the evaluation order of XORs
 // differs, and XOR commutes. The kernel is chosen once at startup from
 // CPUID, overridable with GZ_SKETCH_KERNEL={scalar,avx2,avx512,auto}
 // so conformance and chaos suites can pin cross-kernel equivalence.
 // Dispatch is runtime-only (target-attributed functions, no global
 // -mavx2), the same pattern as util/crc32c.cc: the binary still runs
 // on any x86-64, and non-x86 builds compile the scalar path alone.
+// Chunk, spill and difference buffers live on the kernel's stack: the
+// kernel allocates nothing and adds no per-sketch memory.
 #ifndef GZ_SKETCH_SKETCH_KERNEL_H_
 #define GZ_SKETCH_SKETCH_KERNEL_H_
 
@@ -59,15 +89,15 @@ SketchKernel ActiveSketchKernel();
 // must be supported on this CPU.
 void ForceSketchKernel(SketchKernel kernel);
 
-// One CubeSketch's geometry and bucket storage, flattened for the
-// kernel. All pointers borrow from the sketch; `indices` are raw vector
-// indices already validated < vector_len by the caller (the span-level
-// bounds check hoisted out of the per-update path).
-struct CubeSketchKernelArgs {
-  const uint64_t* indices = nullptr;
-  size_t count = 0;
-  int cols = 0;
-  int rows = 0;
+// Indices per premixed chunk (see the top of this file).
+inline constexpr size_t kSketchKernelChunk = 256;
+
+// Bucket rows the AVX-512 kernel accumulates in registers; deeper lanes
+// go through the spill buffer.
+inline constexpr int kSketchKernelRegisterRows = 4;
+
+// One CubeSketch's seeds and bucket storage, borrowed from the sketch.
+struct CubeSketchBuckets {
   const uint64_t* col_seeds = nullptr;    // [cols] placement-hash seeds.
   const uint64_t* gamma_seeds = nullptr;  // [cols + 1]; last = det bucket.
   uint64_t* alphas = nullptr;             // [cols * rows], column-major.
@@ -76,9 +106,34 @@ struct CubeSketchKernelArgs {
   uint32_t* det_gamma = nullptr;
 };
 
-// Applies the batch to the bucket arrays with the given kernel. The
-// kernel must be supported on this CPU. Counts of zero are fine; a tail
-// shorter than the lane width runs scalar (identical math).
+// A span of indices for every round of one node sketch. All rounds
+// share the geometry (cols, rows) and differ only in seeds and buckets.
+// `indices` are raw vector indices already validated < vector_len by
+// the caller (the span-level bounds check hoisted out of the kernel).
+struct NodeSketchKernelArgs {
+  const uint64_t* indices = nullptr;
+  size_t count = 0;
+  int cols = 0;
+  int rows = 0;
+  const CubeSketchBuckets* rounds = nullptr;  // [num_rounds].
+  int num_rounds = 0;
+};
+
+// Applies the span to every round's buckets with the given kernel,
+// which must be supported on this CPU. Counts of zero are fine.
+void NodeSketchUpdateBatch(SketchKernel kernel,
+                           const NodeSketchKernelArgs& args);
+
+// One CubeSketch's span, geometry and buckets: the one-round case of
+// NodeSketchKernelArgs.
+struct CubeSketchKernelArgs : CubeSketchBuckets {
+  const uint64_t* indices = nullptr;
+  size_t count = 0;
+  int cols = 0;
+  int rows = 0;
+};
+
+// NodeSketchUpdateBatch with one round.
 void CubeSketchUpdateBatch(SketchKernel kernel,
                            const CubeSketchKernelArgs& args);
 

@@ -40,15 +40,6 @@ inline uint64_t MergeRound(uint64_t acc, uint64_t val) {
   return acc;
 }
 
-inline uint64_t Avalanche(uint64_t h) {
-  h ^= h >> 33;
-  h *= kPrime2;
-  h ^= h >> 29;
-  h *= kPrime3;
-  h ^= h >> 32;
-  return h;
-}
-
 }  // namespace
 
 uint64_t XxHash64(const void* data, size_t len, uint64_t seed) {
@@ -96,15 +87,13 @@ uint64_t XxHash64(const void* data, size_t len, uint64_t seed) {
     h = RotL(h, 11) * kPrime1;
     ++p;
   }
-  return Avalanche(h);
+  return XxHash64Avalanche(h);
 }
 
 uint64_t XxHash64Word(uint64_t value, uint64_t seed) {
-  // XXH64 specialized to len == 8: one "h ^= Round(0, k1)" step.
-  uint64_t h = seed + kPrime5 + 8;
-  h ^= Round(0, value);
-  h = RotL(h, 27) * kPrime1 + kPrime4;
-  return Avalanche(h);
+  // XXH64 specialized to len == 8: one "h ^= Round(0, k1)" step, and
+  // Round(0, k1) is the premix.
+  return XxHash64WordFinish(XxHash64WordPremix(value), seed);
 }
 
 }  // namespace gz

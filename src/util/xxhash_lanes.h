@@ -60,18 +60,22 @@ GZ_TARGET_AVX2 inline __m256i RotL64x4(__m256i x, int r) {
                          _mm256_srli_epi64(x, 64 - r));
 }
 
-// out[i] = XxHash64Word(values[i], seed) for 4 lanes.
-GZ_TARGET_AVX2 inline __m256i XxHash64Word4(__m256i values, uint64_t seed) {
+// Lane forms of XxHash64WordPremix / XxHash64WordFinish (xxhash.h).
+GZ_TARGET_AVX2 inline __m256i XxHash64WordPremix4(__m256i values) {
+  const __m256i p1 = _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime1));
+  const __m256i p2 = _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime2));
+  // Round(0, value): acc = rotl(value * P2, 31) * P1.
+  return Mul64x4(RotL64x4(Mul64x4(values, p2), 31), p1);
+}
+
+GZ_TARGET_AVX2 inline __m256i XxHash64WordFinish4(__m256i premix,
+                                                  uint64_t seed) {
   const __m256i p1 = _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime1));
   const __m256i p2 = _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime2));
   const __m256i p3 = _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime3));
-  // Round(0, value): acc = rotl(value * P2, 31) * P1.
-  __m256i acc = Mul64x4(values, p2);
-  acc = RotL64x4(acc, 31);
-  acc = Mul64x4(acc, p1);
-  // h = seed + P5 + 8; h ^= acc; h = rotl(h, 27) * P1 + P4.
+  // h = seed + P5 + 8; h ^= premix; h = rotl(h, 27) * P1 + P4.
   __m256i h = _mm256_set1_epi64x(static_cast<int64_t>(seed + kXxPrime5 + 8));
-  h = _mm256_xor_si256(h, acc);
+  h = _mm256_xor_si256(h, premix);
   h = _mm256_add_epi64(Mul64x4(RotL64x4(h, 27), p1),
                        _mm256_set1_epi64x(static_cast<int64_t>(kXxPrime4)));
   // Avalanche.
@@ -81,6 +85,11 @@ GZ_TARGET_AVX2 inline __m256i XxHash64Word4(__m256i values, uint64_t seed) {
   h = Mul64x4(h, p3);
   h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 32));
   return h;
+}
+
+// out[i] = XxHash64Word(values[i], seed) for 4 lanes.
+GZ_TARGET_AVX2 inline __m256i XxHash64Word4(__m256i values, uint64_t seed) {
+  return XxHash64WordFinish4(XxHash64WordPremix4(values), seed);
 }
 
 // Per-lane trailing-zero count of h, capped at `cap` (a broadcast
@@ -110,37 +119,38 @@ GZ_TARGET_AVX2 inline __m256i TrailingZerosCapped4(__m256i h, __m256i cap) {
 
 // ---- AVX-512: 8 lanes ------------------------------------------------
 
-// out[i] = XxHash64Word(values[i], seed) for 8 lanes. vpmullq and
-// vprolq make this a direct transliteration of the scalar dataflow.
-GZ_TARGET_AVX512 inline __m512i XxHash64Word8(__m512i values, uint64_t seed) {
+// Lane forms of XxHash64WordPremix / XxHash64WordFinish. vpmullq and
+// vprolq make these a direct transliteration of the scalar dataflow.
+GZ_TARGET_AVX512 inline __m512i XxHash64WordPremix8(__m512i values) {
+  const __m512i p1 = _mm512_set1_epi64(static_cast<int64_t>(kXxPrime1));
+  const __m512i p2 = _mm512_set1_epi64(static_cast<int64_t>(kXxPrime2));
+  return _mm512_mullo_epi64(
+      _mm512_rol_epi64(_mm512_mullo_epi64(values, p2), 31), p1);
+}
+
+GZ_TARGET_AVX512 inline __m512i XxHash64WordFinish8(__m512i premix,
+                                                    uint64_t seed) {
   const __m512i p1 = _mm512_set1_epi64(static_cast<int64_t>(kXxPrime1));
   const __m512i p2 = _mm512_set1_epi64(static_cast<int64_t>(kXxPrime2));
   const __m512i p3 = _mm512_set1_epi64(static_cast<int64_t>(kXxPrime3));
-  __m512i acc = _mm512_mullo_epi64(values, p2);
-  acc = _mm512_rol_epi64(acc, 31);
-  acc = _mm512_mullo_epi64(acc, p1);
   __m512i h = _mm512_set1_epi64(static_cast<int64_t>(seed + kXxPrime5 + 8));
-  h = _mm512_xor_si512(h, acc);
+  h = _mm512_xor_si512(h, premix);
   h = _mm512_add_epi64(_mm512_mullo_epi64(_mm512_rol_epi64(h, 27), p1),
                        _mm512_set1_epi64(static_cast<int64_t>(kXxPrime4)));
   h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 33));
   h = _mm512_mullo_epi64(h, p2);
   h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 29));
   h = _mm512_mullo_epi64(h, p3);
-  h = _mm512_xor_si512(h, _mm512_srli_epi64(h, 32));
+  // h >> 32 as a zero-masked dword shuffle: same bits, but it runs on
+  // the shuffle port instead of the shift port the multiplies load.
+  h = _mm512_xor_si512(
+      h, _mm512_maskz_shuffle_epi32(0x5555, h, _MM_PERM_DDDB));
   return h;
 }
 
-// Per-lane trailing-zero count capped at `cap`; h == 0 lanes saturate.
-// tzcnt(h) = 63 - lzcnt(h & -h); for h == 0, lzcnt is 64, so the
-// subtraction wraps to 2^64-1 and the unsigned min clamps to the cap —
-// again matching the scalar h == 0 branch without one.
-GZ_TARGET_AVX512 inline __m512i TrailingZerosCapped8(__m512i h, __m512i cap) {
-  const __m512i zero = _mm512_setzero_si512();
-  const __m512i lowbit = _mm512_and_si512(h, _mm512_sub_epi64(zero, h));
-  const __m512i tz = _mm512_sub_epi64(_mm512_set1_epi64(63),
-                                      _mm512_lzcnt_epi64(lowbit));
-  return _mm512_min_epu64(tz, cap);
+// out[i] = XxHash64Word(values[i], seed) for 8 lanes.
+GZ_TARGET_AVX512 inline __m512i XxHash64Word8(__m512i values, uint64_t seed) {
+  return XxHash64WordFinish8(XxHash64WordPremix8(values), seed);
 }
 
 }  // namespace gz

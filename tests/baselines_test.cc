@@ -194,6 +194,24 @@ TEST(DiskAdjacencyGraphTest, TinyCacheForcesEvictions) {
   EXPECT_EQ(r.spanning_forest.size(), 31u);
 }
 
+TEST(DiskAdjacencyGraphTest, ZeroDegreeVertexReadBackAfterEviction) {
+  // Vertices 0 and 1 gain and lose their only edge, are evicted with
+  // degree 0 by a cache of 2, and are read back empty.
+  DiskAdjacencyGraph g(DiskParams(8, "diskadj_zero_degree.bin", 2));
+  ASSERT_TRUE(g.Init().ok());
+  g.Update({Edge(0, 1), UpdateType::kInsert});
+  g.Update({Edge(0, 1), UpdateType::kDelete});
+  g.Update({Edge(2, 3), UpdateType::kInsert});
+  g.Update({Edge(4, 5), UpdateType::kInsert});
+  EXPECT_GT(g.bytes_written(), 0u);
+  g.Update({Edge(0, 1), UpdateType::kInsert});  // Reads both back.
+  EXPECT_EQ(g.num_edges(), 3u);
+  const ConnectivityResult r = g.ConnectedComponents();
+  EXPECT_EQ(r.num_components, 5u);
+  EXPECT_TRUE(r.Connected(0, 1));
+  EXPECT_FALSE(r.Connected(1, 2));
+}
+
 TEST(DiskAdjacencyGraphTest, AgreesWithMatrixCheckerOnRandomStream) {
   const uint64_t n = 48;
   ErdosRenyiParams ep;

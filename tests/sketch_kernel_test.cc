@@ -3,6 +3,7 @@
 // checksums, serialized sketches, and end-to-end GraphSnapshot bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "sketch/sketch_kernel.h"
 #include "util/random.h"
 #include "util/xxhash.h"
+#include "util/xxhash_lanes.h"
 
 namespace gz {
 namespace {
@@ -85,6 +87,256 @@ TEST(SketchKernelTest, HashBatchMatchesScalarHash) {
       XxHash64WordBatch(k, values.data(), count, seed, out.data());
       EXPECT_EQ(out, expect) << "kernel=" << SketchKernelName(k)
                              << " count=" << count;
+    }
+  }
+}
+
+TEST(SketchKernelTest, PremixFinishComposeToWordHash) {
+  SplitMix64 rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t value = i < 4 ? static_cast<uint64_t>(i) : rng.Next();
+    const uint64_t seed = rng.Next();
+    const uint64_t expect = XxHash64Word(value, seed);
+    EXPECT_EQ(XxHash64WordFinish(XxHash64WordPremix(value), seed), expect);
+    EXPECT_EQ(XxHash64(&value, sizeof(value), seed), expect);
+  }
+}
+
+#if defined(__x86_64__)
+// The lane forms, one lane group at a time: finish(premix(v)) per lane
+// must equal the scalar word hash. The pragma is util/xxhash_lanes.h's
+// GCC 12 false-positive suppression, which the inlined intrinsics
+// carry into their caller.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+GZ_TARGET_AVX2 void PremixFinish4(const uint64_t* values, uint64_t seed,
+                                  uint64_t* out) {
+  const __m256i v =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(values));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      XxHash64WordFinish4(XxHash64WordPremix4(v), seed));
+}
+
+GZ_TARGET_AVX512 void PremixFinish8(const uint64_t* values, uint64_t seed,
+                                    uint64_t* out) {
+  const __m512i v = _mm512_loadu_si512(values);
+  _mm512_storeu_si512(out, XxHash64WordFinish8(XxHash64WordPremix8(v), seed));
+}
+#pragma GCC diagnostic pop
+
+TEST(SketchKernelTest, LanePremixFinishMatchesScalar) {
+  SplitMix64 rng(12);
+  for (int round = 0; round < 200; ++round) {
+    uint64_t values[8];
+    for (uint64_t& v : values) v = rng.Next();
+    if (round == 0) values[0] = 0;
+    const uint64_t seed = rng.Next();
+    uint64_t out[8];
+    if (SketchKernelSupported(SketchKernel::kAvx2)) {
+      PremixFinish4(values, seed, out);
+      for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(out[i], XxHash64Word(values[i], seed)) << "avx2 lane " << i;
+      }
+    }
+    if (SketchKernelSupported(SketchKernel::kAvx512)) {
+      PremixFinish8(values, seed, out);
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(out[i], XxHash64Word(values[i], seed))
+            << "avx512 lane " << i;
+      }
+    }
+  }
+}
+#endif  // __x86_64__
+
+// ---- Kernel conformance against an independent reference ---------------
+
+// Bucket storage for `num_rounds` CubeSketches of one geometry with
+// explicit seeds, so tests can pick seeds and shapes the sketch classes
+// never produce.
+struct RoundBuckets {
+  int cols;
+  int rows;
+  std::vector<uint64_t> col_seeds;    // [cols]
+  std::vector<uint64_t> gamma_seeds;  // [cols + 1]
+  std::vector<uint64_t> alphas;
+  std::vector<uint32_t> gammas;
+  uint64_t det_alpha = 0;
+  uint32_t det_gamma = 0;
+
+  CubeSketchBuckets View() {
+    CubeSketchBuckets b;
+    b.col_seeds = col_seeds.data();
+    b.gamma_seeds = gamma_seeds.data();
+    b.alphas = alphas.data();
+    b.gammas = gammas.data();
+    b.det_alpha = &det_alpha;
+    b.det_gamma = &det_gamma;
+    return b;
+  }
+
+  bool operator==(const RoundBuckets& o) const {
+    return alphas == o.alphas && gammas == o.gammas &&
+           det_alpha == o.det_alpha && det_gamma == o.det_gamma;
+  }
+};
+
+RoundBuckets MakeRound(int cols, int rows, std::vector<uint64_t> col_seeds,
+                       std::vector<uint64_t> gamma_seeds) {
+  RoundBuckets b{cols, rows, std::move(col_seeds), std::move(gamma_seeds),
+                 {}, {}};
+  b.alphas.assign(static_cast<size_t>(cols) * rows, 0);
+  b.gammas.assign(static_cast<size_t>(cols) * rows, 0);
+  return b;
+}
+
+// The update rule written out from the paper's definition with the
+// plain word hash, independent of the kernel's code.
+void ReferenceUpdate(RoundBuckets& b, uint64_t idx) {
+  const uint64_t enc = idx + 1;
+  b.det_alpha ^= enc;
+  b.det_gamma ^=
+      static_cast<uint32_t>(XxHash64Word(enc, b.gamma_seeds[b.cols]));
+  for (int c = 0; c < b.cols; ++c) {
+    const uint64_t h = XxHash64Word(enc, b.col_seeds[c]);
+    int depth = 0;
+    while (depth < b.rows - 1 && ((h >> depth) & 1) == 0) ++depth;
+    const uint32_t checksum =
+        static_cast<uint32_t>(XxHash64Word(enc, b.gamma_seeds[c]));
+    for (int r = 0; r <= depth; ++r) {
+      b.alphas[static_cast<size_t>(c) * b.rows + r] ^= enc;
+      b.gammas[static_cast<size_t>(c) * b.rows + r] ^= checksum;
+    }
+  }
+}
+
+// Runs `indices` through NodeSketchUpdateBatch over copies of `rounds`
+// with every supported kernel and checks each against the reference.
+void ExpectKernelsMatchReference(const std::vector<RoundBuckets>& rounds,
+                                 const std::vector<uint64_t>& indices) {
+  std::vector<RoundBuckets> expect = rounds;
+  for (RoundBuckets& b : expect) {
+    for (uint64_t idx : indices) ReferenceUpdate(b, idx);
+  }
+  for (SketchKernel k : SupportedKernels()) {
+    std::vector<RoundBuckets> got = rounds;
+    std::vector<CubeSketchBuckets> views;
+    for (RoundBuckets& b : got) views.push_back(b.View());
+    NodeSketchKernelArgs args;
+    args.indices = indices.data();
+    args.count = indices.size();
+    args.cols = rounds.front().cols;
+    args.rows = rounds.front().rows;
+    args.rounds = views.data();
+    args.num_rounds = static_cast<int>(views.size());
+    NodeSketchUpdateBatch(k, args);
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_TRUE(got[r] == expect[r])
+          << "kernel=" << SketchKernelName(k) << " round=" << r
+          << " rows=" << args.rows << " count=" << indices.size();
+    }
+  }
+}
+
+TEST(SketchKernelTest, SpillHeavyBatchesMatchReference) {
+  // Indices rejection-sampled so that every column's placement hash has
+  // at least 4 trailing zeros: nearly every lane is deeper than the
+  // AVX-512 register rows and goes through the spill buffer, up to the
+  // saturated bottom row.
+  SplitMix64 rng(2024);
+  const int cols = 2;
+  const int rows = 24;
+  const std::vector<uint64_t> col_seeds = {rng.Next(), rng.Next()};
+  std::vector<RoundBuckets> rounds;
+  for (int r = 0; r < 3; ++r) {
+    // Shared column seeds keep every round spill-heavy; the checksum
+    // seeds differ per round.
+    rounds.push_back(MakeRound(cols, rows, col_seeds,
+                               {rng.Next(), rng.Next(), rng.Next()}));
+  }
+  const uint64_t vector_len = 1ULL << 40;
+  auto is_deep = [&](uint64_t idx) {
+    for (uint64_t seed : col_seeds) {
+      if ((XxHash64Word(idx + 1, seed) & 0xF) != 0) return false;
+    }
+    return true;
+  };
+  std::vector<uint64_t> indices;
+  while (indices.size() < 2 * kSketchKernelChunk + 7) {
+    const uint64_t idx = rng.NextBelow(vector_len);
+    // One slot in 16 takes any index, so register and spill rows mix.
+    if (indices.size() % 16 == 15 || is_deep(idx)) indices.push_back(idx);
+  }
+  const size_t deep_lanes =
+      std::count_if(indices.begin(), indices.end(), is_deep);
+  ASSERT_GT(deep_lanes * 8, indices.size() * 7) << "sampler is not deep";
+  ExpectKernelsMatchReference(rounds, indices);
+}
+
+TEST(SketchKernelTest, FewerRowsThanRegisterRowsMatchReference) {
+  // rows 1..3 are below the AVX-512 register-row count (no spill at
+  // all); rows around it cross from register rows into the spill.
+  static_assert(kSketchKernelRegisterRows >= 4);
+  SplitMix64 rng(77);
+  for (int rows = 1; rows <= kSketchKernelRegisterRows + 2; ++rows) {
+    std::vector<RoundBuckets> rounds;
+    for (int r = 0; r < 2; ++r) {
+      rounds.push_back(MakeRound(3, rows, {rng.Next(), rng.Next(), rng.Next()},
+                                 {rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next()}));
+    }
+    const uint64_t vector_len = rows == 1 ? 1 : (1ULL << (rows - 1));
+    std::vector<uint64_t> indices(37);
+    for (uint64_t& idx : indices) idx = rng.NextBelow(vector_len);
+    ExpectKernelsMatchReference(rounds, indices);
+  }
+}
+
+TEST(SketchKernelTest, ChunkBoundaryCountsMatchReference) {
+  SplitMix64 rng(4096);
+  const size_t chunk = kSketchKernelChunk;
+  for (size_t count : {chunk - 1, chunk, chunk + 1, 2 * chunk + 7}) {
+    std::vector<RoundBuckets> rounds;
+    for (int r = 0; r < 2; ++r) {
+      rounds.push_back(MakeRound(7, 20,
+                                 {rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next()},
+                                 {rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next()}));
+    }
+    std::vector<uint64_t> indices(count);
+    for (uint64_t& idx : indices) idx = rng.NextBelow(1ULL << 19);
+    ExpectKernelsMatchReference(rounds, indices);
+  }
+}
+
+TEST(SketchKernelTest, NodeSketchBatchMatchesPerIndexCubeUpdates) {
+  // NodeSketch::UpdateBatch (one kernel call over every round) against
+  // CubeSketch::Update per index and round, at counts straddling the
+  // chunk size.
+  KernelRestorer restore;
+  NodeSketchParams np;
+  np.num_nodes = 700;
+  np.seed = 31337;
+  const uint64_t edge_space = NumPossibleEdges(np.num_nodes);
+  const size_t chunk = kSketchKernelChunk;
+  SplitMix64 rng(5);
+  for (size_t count : {chunk - 1, chunk, chunk + 1, 2 * chunk + 7}) {
+    std::vector<uint64_t> indices(count);
+    for (uint64_t& idx : indices) idx = rng.NextBelow(edge_space);
+    NodeSketch reference(np);
+    for (int r = 0; r < reference.rounds(); ++r) {
+      for (uint64_t idx : indices) reference.mutable_subsketch(r).Update(idx);
+    }
+    for (SketchKernel k : SupportedKernels()) {
+      ForceSketchKernel(k);
+      NodeSketch batched(np);
+      batched.UpdateBatch(indices.data(), indices.size());
+      EXPECT_EQ(reference, batched)
+          << "kernel=" << SketchKernelName(k) << " count=" << count;
     }
   }
 }
