@@ -17,11 +17,10 @@
 // sketch fed the same batches before its timing is reported: a wrong
 // fast kernel must never publish a number.
 //
-// Env knobs: GZ_BENCH_SK_NODES (default 4096), GZ_BENCH_SK_BATCH
-// (default: the leaf-gutter capacity), GZ_BENCH_SK_BATCHES (distinct
-// random batches, default 64), GZ_BENCH_SK_ITERS (cube-row batches per
-// kernel, default 400; the node row applies ITERS / 4, at least one
-// full rotation).
+// Env knobs: GZ_BENCH_SK_BATCH (default: the leaf-gutter capacity),
+// GZ_BENCH_SK_ITERS (cube-row batches per kernel, default 400; the node
+// row applies ITERS / 4, at least one full rotation of the
+// kNumBatches batches).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -36,6 +35,9 @@
 
 namespace {
 
+// Distinct random batches the timed loops rotate over.
+constexpr int kNumBatches = 64;
+
 std::vector<uint8_t> Bytes(const gz::NodeSketch& s) {
   std::vector<uint8_t> out(s.SerializedSize());
   s.SerializeTo(out.data());
@@ -47,14 +49,12 @@ std::vector<uint8_t> Bytes(const gz::NodeSketch& s) {
 int main() {
   using namespace gz;
   GraphZeppelinConfig config;
-  config.num_nodes = bench::GetEnvInt("GZ_BENCH_SK_NODES", 4096);
+  config.num_nodes = 4096;
   const size_t batch = bench::GetEnvInt(
       "GZ_BENCH_SK_BATCH",
       static_cast<int>(GraphZeppelin::LeafGutterUpdates(config)));
-  const int num_batches =
-      std::max(1, bench::GetEnvInt("GZ_BENCH_SK_BATCHES", 64));
   const int iters = std::max(1, bench::GetEnvInt("GZ_BENCH_SK_ITERS", 400));
-  const int node_iters = std::max(num_batches, iters / 4);
+  const int node_iters = std::max(kNumBatches, iters / 4);
   const uint64_t vector_len = NumPossibleEdges(config.num_nodes);
   const uint64_t seed = 42;
 
@@ -66,15 +66,15 @@ int main() {
     kernels.push_back(SketchKernel::kAvx512);
   }
 
-  // Distinct random edge-index batches; batch `it % num_batches` is the
+  // Distinct random edge-index batches; batch `it % kNumBatches` is the
   // it-th one applied, under every kernel alike.
   SplitMix64 rng(7);
-  std::vector<std::vector<uint64_t>> batches(num_batches);
+  std::vector<std::vector<uint64_t>> batches(kNumBatches);
   for (std::vector<uint64_t>& b : batches) {
     b.resize(batch);
     for (uint64_t& idx : b) idx = rng.NextBelow(vector_len);
   }
-  auto batch_at = [&](int it) { return batches[it % num_batches].data(); };
+  auto batch_at = [&](int it) { return batches[it % kNumBatches].data(); };
 
   // One round's geometry for the cube row: round 0 of the node sketch.
   NodeSketchParams np;
@@ -159,7 +159,7 @@ int main() {
               static_cast<unsigned long long>(config.num_nodes),
               static_cast<unsigned long long>(vector_len), cp.cols,
               CubeSketch(cp).rows(), NodeSketch(np).rounds(), batch,
-              num_batches, iters, node_iters);
+              kNumBatches, iters, node_iters);
   std::printf("  \"kernels\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -47,13 +47,14 @@ CubeSketch::CubeSketch(const CubeSketchParams& params)
   gamma_seeds_.push_back(XxHash64Word(kDetSeedTag, params_.seed));
 }
 
-// The update math itself lives in sketch_kernel.cc (UpdateOneScalar and
-// the SIMD kernels); this file only owns storage and bounds checks.
+// The update math itself lives in sketch_kernel.cc (NodeSketchUpdateBatch
+// and its RoundChunk* kernels); this file only owns storage and bounds
+// checks.
 void CubeSketch::Update(uint64_t idx) {
   GZ_CHECK(idx < params_.vector_len);
   // A single update can't fill a lane group; the scalar kernel is the
   // reference path and the fastest choice here.
-  CubeSketchUpdateBatch(SketchKernel::kScalar, KernelArgs(&idx, 1));
+  ApplyKernel(SketchKernel::kScalar, &idx, 1);
 }
 
 void CubeSketch::UpdateBatch(const uint64_t* indices, size_t count) {
@@ -70,7 +71,7 @@ void CubeSketch::UpdateBatchWithKernel(SketchKernel kernel,
     max_idx = indices[i] > max_idx ? indices[i] : max_idx;
   }
   GZ_CHECK_MSG(max_idx < params_.vector_len, "batch index out of range");
-  CubeSketchUpdateBatch(kernel, KernelArgs(indices, count));
+  ApplyKernel(kernel, indices, count);
 }
 
 CubeSketchBuckets CubeSketch::KernelBuckets() {
@@ -84,15 +85,17 @@ CubeSketchBuckets CubeSketch::KernelBuckets() {
   return b;
 }
 
-CubeSketchKernelArgs CubeSketch::KernelArgs(const uint64_t* indices,
-                                            size_t count) {
-  CubeSketchKernelArgs args;
-  static_cast<CubeSketchBuckets&>(args) = KernelBuckets();
+void CubeSketch::ApplyKernel(SketchKernel kernel, const uint64_t* indices,
+                             size_t count) {
+  const CubeSketchBuckets buckets = KernelBuckets();
+  NodeSketchKernelArgs args;
   args.indices = indices;
   args.count = count;
   args.cols = params_.cols;
   args.rows = rows_;
-  return args;
+  args.rounds = &buckets;
+  args.num_rounds = 1;
+  NodeSketchUpdateBatch(kernel, args);
 }
 
 SketchSample CubeSketch::Query() const {

@@ -102,8 +102,9 @@ class CubeSketch {
   // Bucket index within the flattened column-major arrays.
   int BucketIndex(int col, int row) const { return col * rows_ + row; }
 
-  // Borrowing view of this sketch's geometry/buckets for the kernel.
-  CubeSketchKernelArgs KernelArgs(const uint64_t* indices, size_t count);
+  // Runs the kernel's one-round case on already bounds-checked indices.
+  void ApplyKernel(SketchKernel kernel, const uint64_t* indices,
+                   size_t count);
 
   CubeSketchParams params_;
   int rows_;

@@ -120,11 +120,9 @@ void RoundChunkScalar(const Chunk& ch, int cols, int rows,
 
 // See the matching pragma in util/xxhash_lanes.h: GCC 12 attributes its
 // PR 105593 false positive to the function the intrinsics inline into,
-// so the kernels need the suppression as well (the shuffle intrinsics
-// report it as a definite -Wuninitialized).
+// so the kernels need the suppression as well.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
 
 // ---- AVX2: lane hashes, difference scatter ---------------------------
 //
@@ -215,12 +213,16 @@ constexpr int kRegisterRows = kSketchKernelRegisterRows;
 static_assert(kRegisterRows >= 1 && kRegisterRows <= 8);
 
 // XOR of the 8 lanes: swap and fold 256-bit halves, 128-bit quarters,
-// then 64-bit pairs.
+// then 64-bit pairs, and read lane 0. The unmasked shuffles and the
+// 128-bit cast pass an undefined source operand that GCC 12 reports as
+// a definite -Wuninitialized, so this uses the all-lanes maskz
+// shuffles and a vector subscript instead.
 GZ_TARGET_AVX512 inline uint64_t XorReduce8(__m512i v) {
-  v = _mm512_xor_si512(v, _mm512_shuffle_i64x2(v, v, 0x4E));
-  v = _mm512_xor_si512(v, _mm512_shuffle_i64x2(v, v, 0xB1));
-  v = _mm512_xor_si512(v, _mm512_shuffle_epi32(v, _MM_PERM_BADC));
-  return static_cast<uint64_t>(_mm_cvtsi128_si64(_mm512_castsi512_si128(v)));
+  v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E));
+  v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0xB1));
+  v = _mm512_xor_si512(v,
+                       _mm512_maskz_shuffle_epi32(0xFFFF, v, _MM_PERM_BADC));
+  return static_cast<uint64_t>(v[0]);
 }
 
 // Mask of the lanes of the group at `i` that hold indices.
@@ -475,18 +477,6 @@ void NodeSketchUpdateBatch(SketchKernel kernel,
       break;
   }
   RunChunks(args, RoundChunkScalar);
-}
-
-void CubeSketchUpdateBatch(SketchKernel kernel,
-                           const CubeSketchKernelArgs& args) {
-  NodeSketchKernelArgs node;
-  node.indices = args.indices;
-  node.count = args.count;
-  node.cols = args.cols;
-  node.rows = args.rows;
-  node.rounds = &args;  // The one round's buckets.
-  node.num_rounds = 1;
-  NodeSketchUpdateBatch(kernel, node);
 }
 
 void XxHash64WordBatch(SketchKernel kernel, const uint64_t* values,

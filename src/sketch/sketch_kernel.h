@@ -124,19 +124,6 @@ struct NodeSketchKernelArgs {
 void NodeSketchUpdateBatch(SketchKernel kernel,
                            const NodeSketchKernelArgs& args);
 
-// One CubeSketch's span, geometry and buckets: the one-round case of
-// NodeSketchKernelArgs.
-struct CubeSketchKernelArgs : CubeSketchBuckets {
-  const uint64_t* indices = nullptr;
-  size_t count = 0;
-  int cols = 0;
-  int rows = 0;
-};
-
-// NodeSketchUpdateBatch with one round.
-void CubeSketchUpdateBatch(SketchKernel kernel,
-                           const CubeSketchKernelArgs& args);
-
 // out[i] = XxHash64Word(values[i], seed), vectorized per `kernel`.
 // The reusable lane-hash entry point for batch workloads beyond the
 // cube sketch (count-min rows, heavy hitters). Kernel must be

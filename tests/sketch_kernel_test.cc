@@ -106,7 +106,11 @@ TEST(SketchKernelTest, PremixFinishComposeToWordHash) {
 // The lane forms, one lane group at a time: finish(premix(v)) per lane
 // must equal the scalar word hash. The pragma is util/xxhash_lanes.h's
 // GCC 12 false-positive suppression, which the inlined intrinsics
-// carry into their caller.
+// carry into their caller. Fed straight from a load, GCC 12 also
+// reports the undefined pass-through operand of _mm512_rol_epi64 and
+// _mm512_srli_epi64 as a definite -Wuninitialized; these two wrappers
+// read only their argument arrays, so the suppression covers nothing
+// else.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
@@ -478,22 +482,30 @@ TEST(SketchKernelTest, DepthSaturatedLanesMixedInOneLaneGroup) {
     uint64_t det_alpha = 0;
     uint32_t det_gamma = 0;
   };
+  // The kernel's one-round case on raw buckets, as CubeSketch calls it.
+  auto run_one_round = [&](SketchKernel k, const std::vector<uint64_t>& idx,
+                           Buckets& b) {
+    CubeSketchBuckets round;
+    round.col_seeds = col_seeds.data();
+    round.gamma_seeds = gamma_seeds.data();
+    round.alphas = b.alphas.data();
+    round.gammas = b.gammas.data();
+    round.det_alpha = &b.det_alpha;
+    round.det_gamma = &b.det_gamma;
+    NodeSketchKernelArgs args;
+    args.indices = idx.data();
+    args.count = idx.size();
+    args.cols = cols;
+    args.rows = rows;
+    args.rounds = &round;
+    args.num_rounds = 1;
+    NodeSketchUpdateBatch(k, args);
+  };
   auto run = [&](SketchKernel k) {
     Buckets b;
     b.alphas.assign(static_cast<size_t>(cols) * rows, 0);
     b.gammas.assign(static_cast<size_t>(cols) * rows, 0);
-    CubeSketchKernelArgs args;
-    args.indices = indices.data();
-    args.count = indices.size();
-    args.cols = cols;
-    args.rows = rows;
-    args.col_seeds = col_seeds.data();
-    args.gamma_seeds = gamma_seeds.data();
-    args.alphas = b.alphas.data();
-    args.gammas = b.gammas.data();
-    args.det_alpha = &b.det_alpha;
-    args.det_gamma = &b.det_gamma;
-    CubeSketchUpdateBatch(k, args);
+    run_one_round(k, indices, b);
     return b;
   };
 
@@ -517,18 +529,7 @@ TEST(SketchKernelTest, DepthSaturatedLanesMixedInOneLaneGroup) {
     Buckets b;
     b.alphas.assign(static_cast<size_t>(cols) * rows, 0);
     b.gammas.assign(static_cast<size_t>(cols) * rows, 0);
-    CubeSketchKernelArgs args;
-    args.indices = nine.data();
-    args.count = nine.size();
-    args.cols = cols;
-    args.rows = rows;
-    args.col_seeds = col_seeds.data();
-    args.gamma_seeds = gamma_seeds.data();
-    args.alphas = b.alphas.data();
-    args.gammas = b.gammas.data();
-    args.det_alpha = &b.det_alpha;
-    args.det_gamma = &b.det_gamma;
-    CubeSketchUpdateBatch(k, args);
+    run_one_round(k, nine, b);
     for (int r = 0; r < rows; ++r) {
       EXPECT_EQ(b.alphas[r], saturating_idx + 1)
           << "kernel=" << SketchKernelName(k) << " row=" << r;
