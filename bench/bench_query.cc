@@ -17,7 +17,10 @@
 // served snapshot bitwise-identical to a full re-fold. Serving knobs:
 // GZ_BENCH_SERVING_LOGV (default 11), GZ_BENCH_SERVING_MS (ingest
 // window per reader count, default 250), GZ_BENCH_SERVING_QUERIES
-// (latency samples per reader, default 25).
+// (latency samples per reader, default 25). The read-path object
+// (refresh with one moved shard; Connectivity const vs consumed) is
+// scaled by GZ_BENCH_READ_LOGV (default 12, the kron12 geometry) and
+// GZ_BENCH_READ_REPS (timed repetitions, default 5).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -31,12 +34,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/snapshot_cache.h"
 #include "core/standing_query.h"
 #include "core/graph_snapshot.h"
 #include "distributed/query_session.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
 #include "distributed/sharded_graph_zeppelin.h"
+#include "stream/kronecker_generator.h"
 
 namespace {
 
@@ -101,8 +106,8 @@ int main() {
     GZ_CHECK(thawed.ok() && thawed.value() == snapshot);
 
     // Untimed warmup: the first query after a capture pays first-touch
-    // page faults for its scratch copy; without this the second timed
-    // run would win on warm pages, not on algorithm.
+    // page faults for its private component sums; without this the
+    // second timed run would win on warm pages, not on algorithm.
     GZ_CHECK(!Connectivity(snapshot, 1).failed);
 
     WallTimer seq_timer;
@@ -132,6 +137,135 @@ int main() {
         boruvka_par_s, par_threads,
         boruvka_par_s > 0 ? boruvka_1t_s / boruvka_par_s : 0.0,
         ",");
+  }
+
+  // ---- Read path --------------------------------------------------------------
+  // The two copy-sensitive steps of a notification, at the gzbench
+  // geometry (kron12: 4096 nodes, 21 rounds, 174 MB per snapshot):
+  //   (a) SnapshotCache::Refresh with one moved shard of two — the
+  //       puller hands over pre-extracted bytes, so `pull_ms` is one
+  //       memcpy of the chunk and the rest is the cache's own fold;
+  //   (b) Connectivity on the served snapshot, const (the cache keeps
+  //       it) vs consumed (a copy moved in; the copy is not timed).
+  // Every refresh is GZ_CHECK'd bitwise against an XOR refold, and the
+  // const and consumed answers against each other.
+  {
+    const int logv = bench::GetEnvInt("GZ_BENCH_READ_LOGV", 12);
+    const int reps = std::max(1, bench::GetEnvInt("GZ_BENCH_READ_REPS", 5));
+    const uint64_t n = 1ULL << logv;
+    KroneckerParams kp;
+    kp.scale = logv;
+    kp.density = 0.5;
+    kp.seed = 5;
+    const EdgeList edges = KroneckerGenerator(kp).Generate();
+    std::fprintf(stderr, "read-path bench: kron%d, %zu edges, %d reps\n",
+                 logv, edges.size(), reps);
+
+    // Two shards split the stream by edge parity. Shard 0 alternates
+    // between two contents, a and b (b = a plus one toggled edge), so
+    // every timed refresh moves exactly one shard.
+    GraphZeppelinConfig config = bench::DefaultGzConfig();
+    config.num_nodes = n;
+    std::vector<uint8_t> shard0_a, shard0_b, shard1;
+    NodeSketchParams params;
+    {
+      GraphZeppelin s0(config), s1(config);
+      GZ_CHECK_OK(s0.Init());
+      GZ_CHECK_OK(s1.Init());
+      std::vector<GraphUpdate> u0, u1;
+      for (size_t i = 0; i < edges.size(); ++i) {
+        (i % 2 == 0 ? u0 : u1).push_back({edges[i], UpdateType::kInsert});
+      }
+      s0.Update(u0.data(), u0.size());
+      s1.Update(u1.data(), u1.size());
+      params = s0.sketch_params();
+      shard0_a = s0.Snapshot().ExtractNodeRange(0, n);
+      shard1 = s1.Snapshot().ExtractNodeRange(0, n);
+      const GraphUpdate toggle{{0, static_cast<NodeId>(n - 1)},
+                               UpdateType::kInsert};
+      s0.Update(&toggle, 1);
+      shard0_b = s0.Snapshot().ExtractNodeRange(0, n);
+    }
+
+    SnapshotCache cache;
+    const std::vector<uint8_t>* shard0 = &shard0_a;
+    double pull_s = 0;
+    auto puller = [&](int shard, uint64_t lo, uint64_t hi,
+                      std::vector<uint8_t>* delta) {
+      GZ_CHECK(lo == 0 && hi == n);  // One chunk per shard at this size.
+      WallTimer t;
+      *delta = shard == 0 ? *shard0 : shard1;
+      pull_s += t.Seconds();
+      return Status::Ok();
+    };
+    ShardWatermarks marks = {{0, {1, 0}}, {1, {1, 0}}};
+    GZ_CHECK_OK(cache.Refresh(1, marks, 0, params, puller));
+    std::vector<double> refresh_ms, pull_ms;
+    for (int r = 0; r < reps; ++r) {
+      shard0 = shard0 == &shard0_a ? &shard0_b : &shard0_a;
+      ++marks[0].num_updates;
+      pull_s = 0;
+      WallTimer t;
+      GZ_CHECK_OK(cache.Refresh(1, marks, 0, params, puller));
+      refresh_ms.push_back(t.Seconds() * 1e3);
+      pull_ms.push_back(pull_s * 1e3);
+    }
+    GZ_CHECK(cache.range_pulls() == 2 + static_cast<uint64_t>(reps));
+    {
+      GraphSnapshot refold(std::vector<NodeSketch>(n, NodeSketch(params)),
+                           0);
+      GZ_CHECK_OK(refold.MergeSerializedNodeRange(shard0->data(),
+                                                  shard0->size()));
+      GZ_CHECK_OK(refold.MergeSerializedNodeRange(shard1.data(),
+                                                  shard1.size()));
+      GZ_CHECK_MSG(refold == cache.merged(),
+                   "refreshed snapshot differs from an XOR refold");
+    }
+    shard0_a.clear();
+    shard0_a.shrink_to_fit();
+    shard0_b.clear();
+    shard0_b.shrink_to_fit();
+    shard1.clear();
+    shard1.shrink_to_fit();
+
+    const GraphSnapshot& served = cache.merged();
+    const std::vector<uint8_t> served_bytes = served.Serialize();
+    std::vector<double> const_ms, consumed_ms, copy_ms;
+    ConnectivityResult const_result, consumed_result;
+    for (int r = 0; r < reps; ++r) {
+      WallTimer t;
+      const_result = Connectivity(served);
+      const_ms.push_back(t.Seconds() * 1e3);
+      WallTimer copy_timer;
+      GraphSnapshot copy = served;
+      copy_ms.push_back(copy_timer.Seconds() * 1e3);
+      WallTimer consumed_timer;
+      consumed_result = Connectivity(std::move(copy));
+      consumed_ms.push_back(consumed_timer.Seconds() * 1e3);
+      GZ_CHECK(!const_result.failed);
+      GZ_CHECK(const_result.spanning_forest ==
+               consumed_result.spanning_forest);
+      GZ_CHECK(const_result.component_of == consumed_result.component_of);
+      GZ_CHECK(const_result.rounds_used == consumed_result.rounds_used);
+    }
+    GZ_CHECK_MSG(served.Serialize() == served_bytes,
+                 "a const query changed the served snapshot");
+
+    std::printf(
+        "  {\"read_path\": {\"v\": %llu, \"edges\": %zu, \"rounds\": %d,\n"
+        "   \"snapshot_mb\": %.1f, \"reps\": %d, \"query_threads\": %d,\n"
+        "   \"refresh_one_moved_shard_ms_p50\": %.2f, "
+        "\"refresh_pull_ms_p50\": %.2f,\n"
+        "   \"connectivity_const_ms_p50\": %.2f, "
+        "\"connectivity_consumed_ms_p50\": %.2f, "
+        "\"snapshot_copy_ms_p50\": %.2f,\n"
+        "   \"components\": %zu}},\n",
+        static_cast<unsigned long long>(n), edges.size(), params.rounds,
+        static_cast<double>(served_bytes.size()) / (1024.0 * 1024.0), reps,
+        ResolveQueryThreads(0), Percentile(&refresh_ms, 0.5),
+        Percentile(&pull_ms, 0.5), Percentile(&const_ms, 0.5),
+        Percentile(&consumed_ms, 0.5), Percentile(&copy_ms, 0.5),
+        const_result.num_components);
   }
 
   // ---- Serving tier ---------------------------------------------------------

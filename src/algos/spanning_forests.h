@@ -5,8 +5,9 @@
 //
 // Phase i runs Boruvka over a dedicated window of sketch rounds to
 // extract a spanning forest F_i of G \ (F_1 ∪ ... ∪ F_{i-1}), then
-// toggles F_i's edges out of the pristine sketches (linearity makes
-// the deletion exact, not approximate). The union F_1 ∪ ... ∪ F_k is a
+// toggles F_i's edges out of the remaining-graph sketches (linearity
+// makes the deletion exact, not approximate). Boruvka runs
+// copy-on-write, so no phase copies the sketches it queries. The union F_1 ∪ ... ∪ F_k is a
 // k-edge-connectivity certificate of G: it preserves every cut of size
 // <= k, so e.g. the bridges of G are exactly the bridges of the k=2
 // certificate.
@@ -47,8 +48,9 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds);
 // Extracts up to `k` edge-disjoint spanning forests from the snapshot,
 // which must carry at least RoundsForForests(V, k) rounds (configure
 // the producing instance with `rounds = RoundsForForests(V, k)`). The
-// snapshot itself is untouched: the destructive working copy is taken
-// internally, once.
+// snapshot itself is untouched: phase 1 reads it directly, and one
+// copy is taken only if a later phase needs the first forest peeled
+// out.
 //
 // `k` is validated, not trusted: k < 1, or a k whose per-phase round
 // budget exceeds what the snapshot carries, is an InvalidArgument —
@@ -58,13 +60,13 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds);
 Result<ForestDecomposition> ExtractSpanningForests(
     const GraphSnapshot& snapshot, int k);
 
-// Rvalue form: consumes a temporary snapshot's sketches as the pristine
-// working set directly (no extra full copy of the sketch state).
+// Rvalue form: consumes a temporary snapshot's sketches and peels the
+// forests out of them in place (no copy of the sketch state).
 Result<ForestDecomposition> ExtractSpanningForests(GraphSnapshot&& snapshot,
                                                    int k);
 
-// Raw-sketch form used by the engine and by tests that build sketches
-// directly; `sketches` is consumed destructively.
+// Raw-sketch form used by tests that build sketches directly;
+// `sketches` is consumed (the forests are peeled out of it in place).
 Result<ForestDecomposition> ExtractSpanningForests(
     std::vector<NodeSketch>* sketches, int k);
 

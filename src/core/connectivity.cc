@@ -116,6 +116,86 @@ struct SampleBlock {
   bool any_fail = false;
 };
 
+// The engine's per-node sketch state, in one of two modes:
+//  - in place (the caller handed its sketches over): every node is
+//    writable from the start, and a fold merges straight into the
+//    caller's NodeSketch;
+//  - copy-on-write (const input): every node reads the caller's sketch
+//    until its "writable yet?" slot is filled. A representative gets
+//    that private sum the first time it absorbs another component: the
+//    XOR of the two inputs over the rounds still ahead, built in one
+//    pass. A node that is folded away drops its private sum at once.
+// Either way the sketch a query samples at (node, round) is the same
+// XOR sum, so both modes answer bitwise identically.
+class BoruvkaSketches {
+ public:
+  // Copy-on-write over `base`, which is never written.
+  BoruvkaSketches(const std::vector<NodeSketch>& base, int last_round)
+      : base_(base), last_round_(last_round), owned_(base.size()) {}
+  // In place over `*sketches`.
+  explicit BoruvkaSketches(std::vector<NodeSketch>* sketches)
+      : base_(*sketches), in_place_(sketches), last_round_(0) {}
+
+  const std::vector<NodeSketch>& base() const { return base_; }
+
+  SketchSample Query(NodeId node, int round) const {
+    return Sub(node, round).Query();
+  }
+
+  // Folds `src`'s sketch into `dst`'s over rounds (round, last): the
+  // rounds at or before `round` are never queried again. Pairs of one
+  // fold level are node-disjoint, so they may run concurrently.
+  void Fold(NodeId dst, NodeId src, int round) {
+    if (in_place_ != nullptr) {
+      (*in_place_)[dst].MergeRounds((*in_place_)[src], round + 1);
+      return;
+    }
+    std::unique_ptr<Owned>& mine = owned_[dst];
+    if (mine == nullptr) {
+      auto sum = std::make_unique<Owned>();
+      sum->first_round = round + 1;
+      sum->rounds.reserve(last_round_ - round - 1);
+      for (int r = round + 1; r < last_round_; ++r) {
+        sum->rounds.push_back(CubeSketch::Sum(Sub(dst, r), Sub(src, r)));
+      }
+      mine = std::move(sum);
+    } else {
+      for (int r = round + 1; r < last_round_; ++r) {
+        mine->rounds[r - mine->first_round].Merge(Sub(src, r));
+      }
+    }
+    owned_[src].reset();  // Dead: its sum now lives in dst.
+  }
+
+ private:
+  // A representative's private sum of rounds [first_round, last_round).
+  struct Owned {
+    int first_round = 0;
+    std::vector<CubeSketch> rounds;
+  };
+
+  const CubeSketch& Sub(NodeId node, int round) const {
+    const Owned* mine = in_place_ == nullptr ? owned_[node].get() : nullptr;
+    return mine != nullptr ? mine->rounds[round - mine->first_round]
+                           : base_[node].subsketch(round);
+  }
+
+  const std::vector<NodeSketch>& base_;
+  std::vector<NodeSketch>* in_place_ = nullptr;
+  int last_round_;
+  std::vector<std::unique_ptr<Owned>> owned_;
+};
+
+// Resolves the round window [first_round, last_round) for `sketches`.
+int LastRound(const std::vector<NodeSketch>& sketches, int first_round,
+              int num_rounds) {
+  GZ_CHECK(!sketches.empty());
+  GZ_CHECK(first_round >= 0 && first_round < sketches[0].rounds());
+  return num_rounds < 0 ? sketches[0].rounds()
+                        : std::min(sketches[0].rounds(),
+                                   first_round + num_rounds);
+}
+
 }  // namespace
 
 int ResolveQueryThreads(int num_threads) {
@@ -127,9 +207,8 @@ int ResolveQueryThreads(int num_threads) {
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads) {
   GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
-  // The one place the destructive scratch copy is made.
-  std::vector<NodeSketch> scratch = snapshot.CopySketches();
-  return BoruvkaConnectivity(&scratch, /*first_round=*/0, /*num_rounds=*/-1,
+  return BoruvkaConnectivity(snapshot.sketches(), /*first_round=*/0,
+                             /*num_rounds=*/-1,
                              ResolveQueryThreads(num_threads));
 }
 
@@ -140,19 +219,16 @@ ConnectivityResult Connectivity(GraphSnapshot&& snapshot, int num_threads) {
                              ResolveQueryThreads(num_threads));
 }
 
-ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
-                                       int first_round, int num_rounds,
-                                       int num_threads) {
-  GZ_CHECK(sketches != nullptr && !sketches->empty());
-  std::vector<NodeSketch>& sk = *sketches;
+namespace {
+
+// The Boruvka rounds [first_round, last_round) over either mode of
+// sketch state.
+ConnectivityResult RunBoruvka(BoruvkaSketches* sketches, int first_round,
+                              int last_round, int num_threads) {
+  const std::vector<NodeSketch>& sk = sketches->base();
   const uint64_t num_nodes = sk[0].params().num_nodes;
   GZ_CHECK_MSG(sk.size() == num_nodes,
                "need one node sketch per vertex");
-  GZ_CHECK(first_round >= 0 && first_round < sk[0].rounds());
-  const int last_round = num_rounds < 0
-                             ? sk[0].rounds()
-                             : std::min(sk[0].rounds(),
-                                        first_round + num_rounds);
 
   // Spawn the pool only when a parallel gate can actually fire: below
   // the sampling floor neither phase ever goes parallel, and thread
@@ -194,7 +270,8 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
       for (uint64_t i = begin; i < end; ++i) {
         if (root_of[i] != i) continue;  // Only component representatives.
-        const SketchSample sample = sk[i].Query(round);
+        const SketchSample sample =
+            sketches->Query(static_cast<NodeId>(i), round);
         switch (sample.kind) {
           case SampleKind::kGood:
             out.candidates.push_back(IndexToEdge(sample.index, num_nodes));
@@ -268,8 +345,7 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
     }
     std::vector<std::pair<NodeId, NodeId>> fold_pairs;
     auto fold_pair = [&](size_t p) {
-      sk[fold_pairs[p].first].MergeRounds(sk[fold_pairs[p].second],
-                                          round + 1);
+      sketches->Fold(fold_pairs[p].first, fold_pairs[p].second, round);
     };
     for (;;) {
       fold_pairs.clear();
@@ -303,6 +379,25 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
     result.component_of[i] = static_cast<NodeId>(dsu.Find(i));
   }
   return result;
+}
+
+}  // namespace
+
+ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+                                       int first_round, int num_rounds,
+                                       int num_threads) {
+  GZ_CHECK(sketches != nullptr);
+  const int last_round = LastRound(*sketches, first_round, num_rounds);
+  BoruvkaSketches in_place(sketches);
+  return RunBoruvka(&in_place, first_round, last_round, num_threads);
+}
+
+ConnectivityResult BoruvkaConnectivity(const std::vector<NodeSketch>& sketches,
+                                       int first_round, int num_rounds,
+                                       int num_threads) {
+  const int last_round = LastRound(sketches, first_round, num_rounds);
+  BoruvkaSketches copy_on_write(sketches, last_round);
+  return RunBoruvka(&copy_on_write, first_round, last_round, num_threads);
 }
 
 Status WriteSpanningForestStream(const ConnectivityResult& result,

@@ -47,9 +47,10 @@ struct ConnectivityResult {
 };
 
 // The snapshot-facing query: computes the connected components and a
-// spanning forest of the sketched graph. The destructive Boruvka
-// scratch copy is taken internally; the snapshot is untouched and can
-// be queried again, merged, or serialized afterwards.
+// spanning forest of the sketched graph. The snapshot is never copied:
+// Boruvka samples its sketches directly, copy-on-write (see the const
+// BoruvkaConnectivity below), and leaves it bitwise untouched, so it
+// can be queried again, merged, or serialized afterwards.
 //
 // `num_threads`: 0 picks a small pool automatically (bounded by the
 // hardware), 1 forces the sequential path, N uses N threads. Results
@@ -57,9 +58,9 @@ struct ConnectivityResult {
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads = 0);
 
-// Rvalue form: consumes the snapshot's sketches as the Boruvka scratch
-// directly, so querying a temporary (e.g. Connectivity(gz.Snapshot()))
-// holds one copy of the sketch state, not two.
+// Rvalue form: consumes the snapshot's sketches and folds them in
+// place, so querying a temporary (e.g. Connectivity(gz.Snapshot()))
+// allocates nothing per component.
 ConnectivityResult Connectivity(GraphSnapshot&& snapshot,
                                 int num_threads = 0);
 
@@ -67,16 +68,31 @@ ConnectivityResult Connectivity(GraphSnapshot&& snapshot,
 // at least 1. Exposed so benchmarks can report the pool size.
 int ResolveQueryThreads(int num_threads);
 
-// Destructively computes a spanning forest from the given node sketches
-// (they are merged in place; pass copies/snapshots). `sketches[i]` must
-// be the node sketch of vertex i, all built with identical params.
+// Computes a spanning forest from the given node sketches.
+// `sketches[i]` must be the node sketch of vertex i, all built with
+// identical params.
 //
 // `first_round`/`num_rounds` restrict Boruvka to a window of sketch
 // rounds (default: all of them) so that multi-phase algorithms — e.g.
 // the spanning-forest decomposition in algos/ — can give each phase
 // fresh, adaptivity-safe rounds. num_rounds < 0 means "through the
 // last round". `num_threads` as in Connectivity().
+//
+// Pointer form: the caller hands the sketches over and they are folded
+// in place (destroyed as graph state).
 ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+                                       int first_round = 0,
+                                       int num_rounds = -1,
+                                       int num_threads = 1);
+
+// Const form, copy-on-write: the same engine and the same result,
+// bitwise, but `sketches` is only read. Every node samples the
+// caller's sketch until, as a component representative, it first
+// absorbs another; then it gets a private sketch holding only the
+// window's rounds after the current one, built as the XOR of the two
+// inputs in one pass. A folded-away node's private sketch is freed at
+// once, so the extra memory stays below one copy of the input.
+ConnectivityResult BoruvkaConnectivity(const std::vector<NodeSketch>& sketches,
                                        int first_round = 0,
                                        int num_rounds = -1,
                                        int num_threads = 1);

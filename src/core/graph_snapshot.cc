@@ -271,12 +271,10 @@ Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
   }
   // Past this point nothing can fail, so the fold never leaves the
   // snapshot half-merged.
-  NodeSketch scratch(header.params);
   const size_t record = NodeSketch::SerializedSizeFor(header.params);
   const uint8_t* cursor = data + kHeaderBytes;
   for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
+    sketches_[i].MergeSerialized(cursor);
     cursor += record;
   }
   num_updates_ += header.num_updates;
@@ -400,12 +398,33 @@ Status GraphSnapshot::MergeSerializedNodeRange(const uint8_t* data,
   if (!s.ok()) return s;
   // Past this point nothing can fail, so the fold never leaves the
   // snapshot half-merged.
-  NodeSketch scratch(params());
   const size_t record = NodeSketch::SerializedSizeFor(params());
   const uint8_t* cursor = data + kRangeHeaderBytes;
   for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
+    sketches_[i].MergeSerialized(cursor);
+    cursor += record;
+  }
+  return Status::Ok();
+}
+
+Status GraphSnapshot::ReplaceSerializedNodeRange(const uint8_t* data,
+                                                 size_t size,
+                                                 GraphSnapshot* sum) {
+  if (!valid() || sum == nullptr || !sum->valid()) {
+    return Status::InvalidArgument("empty snapshot");
+  }
+  if (!(sum->params() == params())) {
+    return Status::InvalidArgument(
+        "snapshot params mismatch: replace-and-fold requires identical "
+        "seed, node bound and sketch geometry");
+  }
+  uint64_t lo = 0, hi = 0;
+  Status s = ParseSerializedNodeRange(data, size, params(), &lo, &hi);
+  if (!s.ok()) return s;
+  const size_t record = NodeSketch::SerializedSizeFor(params());
+  const uint8_t* cursor = data + kRangeHeaderBytes;
+  for (uint64_t i = lo; i < hi; ++i) {
+    sketches_[i].ReplaceSerialized(cursor, &sum->sketches_[i]);
     cursor += record;
   }
   return Status::Ok();

@@ -13,9 +13,11 @@
 // serialization to a file.
 //
 // All query algorithms (connectivity, spanning-forest decomposition,
-// bipartiteness, MSF weight) consume `const GraphSnapshot&`; the
-// destructive Boruvka scratch copy happens once inside the query
-// engine, never at call sites.
+// bipartiteness, MSF weight) consume `const GraphSnapshot&` and never
+// copy it: Boruvka reads the snapshot's sketches directly and gives a
+// component representative a private sum of the rounds still ahead
+// only when it first absorbs another (copy-on-write). Only a
+// consumed snapshot (the rvalue overloads) is folded in place.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
@@ -57,11 +59,6 @@ class GraphSnapshot {
   const NodeSketch& sketch(NodeId node) const;
   const std::vector<NodeSketch>& sketches() const { return sketches_; }
 
-  // Mutable copy of the sketch vector — the scratch the destructive
-  // Boruvka engine consumes. Query entry points call this internally;
-  // external callers rarely need it.
-  std::vector<NodeSketch> CopySketches() const { return sketches_; }
-
   // Moves the sketches out, leaving this snapshot empty (valid() ==
   // false). Lets a query consume a temporary snapshot without a second
   // full copy of the sketch state.
@@ -96,9 +93,10 @@ class GraphSnapshot {
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
   // Streaming merge from serialized bytes: validates the header, checks
-  // params against this snapshot, then XOR-folds each node record in
-  // with one scratch sketch in flight — the coordinator's aggregation of
-  // a shard's snapshot reply without materializing a second snapshot.
+  // params against this snapshot, then XORs each node record into its
+  // sketch in place (NodeSketch::MergeSerialized, no scratch sketch) —
+  // the coordinator's aggregation of a shard's snapshot reply without
+  // materializing a second snapshot.
   // InvalidArgument on malformed bytes or a params mismatch; this
   // snapshot is unchanged on any error.
   Status MergeSerialized(const uint8_t* data, size_t size);
@@ -120,11 +118,21 @@ class GraphSnapshot {
                                        uint64_t lo, uint64_t hi);
   // Serializes this snapshot's nodes [lo, hi) as a range delta.
   std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
-  // XOR-folds a serialized range delta into this snapshot (one scratch
-  // sketch in flight). InvalidArgument on malformed bytes or a params
+  // XOR-folds a serialized range delta into this snapshot, record by
+  // record in place. InvalidArgument on malformed bytes or a params
   // mismatch; this snapshot is unchanged on any error. num_updates() is
   // never affected.
   Status MergeSerializedNodeRange(const uint8_t* data, size_t size);
+  // Replace-and-fold: overwrites nodes [lo, hi) with a serialized range
+  // delta and XORs the change into `sum` in the same pass, per record
+  // sum ^= this ^ fresh; this = fresh. One pass over the three arrays
+  // is the snapshot cache's whole per-shard refresh (this snapshot is
+  // the shard's retained content, `sum` the merged one). Both must
+  // share the delta's params; InvalidArgument otherwise, or on
+  // malformed bytes, with both snapshots unchanged. Update counts are
+  // never affected.
+  Status ReplaceSerializedNodeRange(const uint8_t* data, size_t size,
+                                    GraphSnapshot* sum);
   // Streaming producer of the ExtractNodeRange byte stream (header
   // first, then one record per `load` call) — how a shard streams a
   // migration delta into a socket frame without materializing it.

@@ -32,26 +32,19 @@ Status SnapshotCache::PullShard(int shard, const NodeSketchParams& params,
   const uint64_t num_nodes = params.num_nodes;
   const uint64_t step =
       nodes_per_chunk_ == 0 ? num_nodes : nodes_per_chunk_;
-  std::vector<uint8_t> fresh;
+  std::vector<uint8_t>& fresh = pull_buf_;
   for (uint64_t lo = 0; lo < num_nodes; lo += step) {
     const uint64_t hi = std::min(num_nodes, lo + step);
-    // The transition old -> new, expressed in XOR: folding the old
-    // chunk cancels its prior contribution, folding the new chunk
-    // installs the current one — in the merged snapshot AND in the
-    // retained per-shard content (where old ^ old zeroes the chunk
-    // first).
-    const std::vector<uint8_t> old = content.ExtractNodeRange(lo, hi);
     fresh.clear();
     Status s = puller(shard, lo, hi, &fresh);
     if (!s.ok()) return s;
     ++range_pulls_;
-    s = merged_.MergeSerializedNodeRange(old.data(), old.size());
-    if (!s.ok()) return s;
-    s = merged_.MergeSerializedNodeRange(fresh.data(), fresh.size());
-    if (!s.ok()) return s;
-    s = content.MergeSerializedNodeRange(old.data(), old.size());
-    if (!s.ok()) return s;
-    s = content.MergeSerializedNodeRange(fresh.data(), fresh.size());
+    // The transition old -> new in one pass per record: the merged
+    // snapshot drops the old chunk and gains the new one
+    // (merged ^= old ^ fresh), and the retained content becomes the
+    // fresh chunk.
+    s = content.ReplaceSerializedNodeRange(fresh.data(), fresh.size(),
+                                           &merged_);
     if (!s.ok()) return s;
   }
   return Status::Ok();
@@ -84,19 +77,10 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
       ++it;
       continue;
     }
-    const GraphSnapshot& content = it->second;
-    const uint64_t num_nodes = params.num_nodes;
-    const uint64_t step =
-        nodes_per_chunk_ == 0 ? num_nodes : nodes_per_chunk_;
-    for (uint64_t lo = 0; lo < num_nodes; lo += step) {
-      const uint64_t hi = std::min(num_nodes, lo + step);
-      const std::vector<uint8_t> old = content.ExtractNodeRange(lo, hi);
-      const Status s = merged_.MergeSerializedNodeRange(old.data(),
-                                                        old.size());
-      if (!s.ok()) {
-        Invalidate();
-        return s;
-      }
+    const Status s = merged_.Merge(it->second);
+    if (!s.ok()) {
+      Invalidate();
+      return s;
     }
     it = shard_content_.erase(it);
   }

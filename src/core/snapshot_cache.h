@@ -14,17 +14,28 @@
 // its watermark — which is what makes the key sound.
 //
 // Refresh is incremental, riding the same XOR linearity as elastic
-// migration: the cache also retains each shard's last-known content,
-// so when shard s moves from content A to content B, folding A then B
-// into the merged snapshot cancels A and installs B (A ^ A ^ B = B) —
-// node-range pulls from ONLY the moved shards, never a full re-fold.
-// A shard that vanished from the table (removed; its content migrated
-// away) is cancelled the same way: fold its cached content once more.
+// migration. The cache retains each shard's last-known content C_s next
+// to the merged snapshot M = XOR over s of C_s. When shard s moves from
+// content A to content B, M must become M ^ A ^ B, and C_s must become
+// B. Both happen in ONE pass per pulled record: for every bucket word,
+//
+//   M ^= C_s ^ fresh;  C_s = fresh;
+//
+// (GraphSnapshot::ReplaceSerializedNodeRange). Nothing of the old
+// content is extracted or serialized, and no record is deserialized
+// into a scratch sketch: each refresh reads the pulled bytes, C_s and
+// M once and writes C_s and M once. Pulls are node-range chunks from
+// ONLY the moved shards, never a full re-fold. A shard that vanished
+// from the table (removed; its content migrated away) has true content
+// zero, so M ^= C_s cancels it: one in-memory Merge, no pull.
 //
 // Cost model: memory is (num_shards + 1) x one snapshot (per-shard
-// content + the merged result); refresh traffic is proportional to the
-// content that actually moved. Queries between watermarks are O(1) —
-// they never touch the ingest path.
+// content + the merged result), plus one pulled chunk of scratch
+// (`nodes_per_chunk` records, kept across refreshes so that steady-state
+// pulls reuse its pages). A refresh is one pass per moved shard
+// over its pulled bytes and the two resident arrays, so its traffic
+// and time are proportional to the content that moved. Queries between
+// watermarks are O(1) — they never touch the ingest path.
 //
 // Not thread-safe; the owner (ShardCluster, ShardedGraphZeppelin,
 // QuerySession) serializes access like every other coordinator call.
@@ -128,8 +139,9 @@ class SnapshotCache {
     return known ? it->second != mark : mark != ShardWatermark{};
   }
 
-  // Chunk-folds `shard`'s transition old-content -> new-content into
-  // both the merged snapshot and the shard's cached content.
+  // Pulls `shard` chunk by chunk and replace-and-folds each chunk:
+  // the merged snapshot swaps the shard's old content for the new, and
+  // the retained content becomes the new, in one pass per record.
   Status PullShard(int shard, const NodeSketchParams& params,
                    const RangePuller& puller);
 
@@ -140,6 +152,9 @@ class SnapshotCache {
   // Last-known content per shard, as a same-params snapshot (update
   // counts unused). The XOR "cancel" material for the next refresh.
   std::map<int, GraphSnapshot> shard_content_;
+  // The one pulled chunk in flight. Kept across refreshes (cleared, not
+  // freed) so a puller that fills it in place reuses its pages.
+  std::vector<uint8_t> pull_buf_;
 
   uint64_t refreshes_ = 0;
   uint64_t cold_builds_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -406,8 +407,8 @@ Status ShardCluster::Flush() {
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   // Replies fold in arrival order: the first one materializes the
-  // snapshot, every later reply streams through MergeSerialized with
-  // one scratch sketch in flight. Peak memory is one snapshot + one
+  // snapshot, every later reply is XORed into it record by record in
+  // place (MergeSerialized). Peak memory is one snapshot + one
   // reply buffer regardless of shard count. One live replica answers
   // per shard — all live replicas are bitwise-equal, so any one is the
   // shard. (On a barrier failure the helper still runs the fold for
@@ -1075,14 +1076,18 @@ Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
     down_[shard][replica] = true;
     return s;
   }
+  // Receive straight into the caller's buffer, whose capacity is reused
+  // (the serving cache keeps its pull buffer across refreshes, so a
+  // steady-state pull allocates and faults in nothing).
   bool in_sync = false;
+  reply_buf_.payload.swap(*bytes);
   s = RecvReply(procs_[shard][replica]->fd(),
                 ShardMessageType::kMigrateData, &reply_buf_, &in_sync);
+  reply_buf_.payload.swap(*bytes);
   if (!s.ok()) {
     if (!in_sync) down_[shard][replica] = true;
     return s;
   }
-  *bytes = std::move(reply_buf_.payload);
   return Status::Ok();
 }
 
@@ -1109,9 +1114,19 @@ Status ShardCluster::CheckpointReplica(int shard, int replica) {
   return Status::Ok();
 }
 
+NodeSketchParams ShardCluster::SketchParams() const {
+  NodeSketchParams params;
+  params.num_nodes = base_.num_nodes;
+  params.seed = base_.seed;
+  params.cols = base_.cols;
+  params.rounds = base_.rounds > 0
+                      ? base_.rounds
+                      : NodeSketch::DefaultRounds(base_.num_nodes);
+  return params;
+}
+
 Status ShardCluster::RepairReplica(int shard, int replica, int reference,
                                    uint64_t expected_updates,
-                                   GraphSnapshot* scratch,
                                    uint64_t* repaired_chunks) {
   const bool rejoined = down_[shard][replica];
   if (rejoined) {
@@ -1154,30 +1169,24 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
     if (!st.ok()) return st;
     if (want == have) continue;  // Bitwise-equal chunk: nothing to do.
     ++diffs;
-    // XOR-diff through the scratch snapshot: fold both serializations
-    // in (the range now holds reference XOR suspect), extract that
-    // difference, then fold the extraction back so the scratch returns
-    // to zero for the next chunk. Folding the difference into the
-    // suspect makes it equal to the reference — whichever copy was
-    // behind, the XOR moves it forward.
-    if (!scratch->valid()) {
-      NodeSketchParams params;
-      params.num_nodes = base_.num_nodes;
-      params.seed = base_.seed;
-      params.cols = base_.cols;
-      params.rounds = base_.rounds > 0
-                          ? base_.rounds
-                          : NodeSketch::DefaultRounds(base_.num_nodes);
-      *scratch = GraphSnapshot(
-          std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
+    // XOR-diff in place: both extracts cover the same range under the
+    // same params, so their headers are equal and the diff is `want`
+    // with `have`'s records XORed into its payload. Folding the
+    // difference into the suspect makes it equal to the reference —
+    // whichever copy was behind, the XOR moves it forward.
+    uint64_t range_lo = 0, range_hi = 0;
+    size_t payload = 0;
+    st = GraphSnapshot::ParseSerializedNodeRange(
+        want.data(), want.size(), SketchParams(), &range_lo, &range_hi,
+        &payload);
+    if (!st.ok()) return st;
+    if (have.size() != want.size() ||
+        std::memcmp(have.data(), want.data(), payload) != 0) {
+      return Status::InvalidArgument(
+          "reconcile: replica extracts disagree on the range header");
     }
-    st = scratch->MergeSerializedNodeRange(want.data(), want.size());
-    if (!st.ok()) return st;
-    st = scratch->MergeSerializedNodeRange(have.data(), have.size());
-    if (!st.ok()) return st;
-    const std::vector<uint8_t> diff = scratch->ExtractNodeRange(lo, hi);
-    st = scratch->MergeSerializedNodeRange(diff.data(), diff.size());
-    if (!st.ok()) return st;
+    std::vector<uint8_t>& diff = want;
+    for (size_t i = payload; i < diff.size(); ++i) diff[i] ^= have[i];
     // Deliberately UNLOGGED (see Reconcile's contract): repair deltas
     // are content transfer, not replay lineage.
     ShardAck ack;
@@ -1214,9 +1223,6 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
 Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (repaired_chunks != nullptr) *repaired_chunks = 0;
-  // One scratch snapshot for every XOR diff, built lazily on the first
-  // differing chunk and re-zeroed after each use.
-  GraphSnapshot scratch;
   Status first_error = Status::Ok();
   for (int s = 0; s < num_shards(); ++s) {
     if (procs_[s].empty()) continue;
@@ -1255,8 +1261,7 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
     }
     for (int r = 0; r < replication_; ++r) {
       if (r == ref) continue;
-      Status st = RepairReplica(s, r, ref, expected, &scratch,
-                                repaired_chunks);
+      Status st = RepairReplica(s, r, ref, expected, repaired_chunks);
       if (!st.ok() && first_error.ok()) first_error = st;
     }
   }
@@ -1293,18 +1298,13 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
     total_updates += mark.num_updates;
   }
   if (!cache_.Fresh(table_.epoch, marks)) {
-    NodeSketchParams params;
-    params.num_nodes = base_.num_nodes;
-    params.seed = base_.seed;
-    params.cols = base_.cols;
-    params.rounds = base_.rounds;
     // The puller is the read-only extract RPC migration already uses;
     // FIFO ordering means the extracted bytes cover every frame sent
     // before the pull, i.e. exactly the watermark the key promises.
     // Any live replica serves — all of them are bitwise-equal at the
     // keyed position — so the pull fails over past dead ones.
     const Status s = cache_.Refresh(
-        table_.epoch, marks, total_updates, params,
+        table_.epoch, marks, total_updates, SketchParams(),
         [this](int shard, uint64_t lo, uint64_t hi,
                std::vector<uint8_t>* delta) {
           if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {

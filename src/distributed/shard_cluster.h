@@ -152,7 +152,7 @@ class ShardCluster {
   Status Flush();
   // Aggregated query surface: streams one live replica per shard's
   // serialized snapshot back and XOR-folds the replies (one
-  // deserialized snapshot plus one scratch sketch in flight). Exact
+  // deserialized snapshot plus one reply buffer, folded in place). Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.
@@ -397,8 +397,10 @@ class ShardCluster {
   Status CheckpointReplica(int shard, int replica);
   // Reconcile's inner loop: repair `replica` against `reference`.
   Status RepairReplica(int shard, int replica, int reference,
-                       uint64_t expected_updates, GraphSnapshot* scratch,
-                       uint64_t* repaired_chunks);
+                       uint64_t expected_updates, uint64_t* repaired_chunks);
+  // Every shard's node-sketch params, rounds resolved: what range
+  // deltas and the serving cache are keyed on.
+  NodeSketchParams SketchParams() const;
 
   GraphZeppelinConfig base_;
   ShardClusterOptions options_;

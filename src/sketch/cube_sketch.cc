@@ -14,6 +14,20 @@ constexpr uint64_t kColSeedTag = 0x636f6c5f73656564ULL;    // "col_seed"
 constexpr uint64_t kGammaSeedTag = 0x67616d6d615f7364ULL;  // "gamma_sd"
 constexpr uint64_t kDetSeedTag = 0x6465745f73656564ULL;    // "det_seed"
 
+// Unaligned-safe word loads from a serialized record: records are
+// packed back to back, so a word's offset is only byte-aligned.
+inline uint64_t LoadU64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline uint32_t LoadU32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
 int RowsForLength(uint64_t n) {
   GZ_CHECK(n >= 1);
   // ceil(log2(n)) geometric levels plus the always-on row 0.
@@ -45,6 +59,27 @@ CubeSketch::CubeSketch(const CubeSketchParams& params)
   }
   // Seed for the deterministic bucket's checksum.
   gamma_seeds_.push_back(XxHash64Word(kDetSeedTag, params_.seed));
+}
+
+CubeSketch::CubeSketch(const CubeSketch& a, const CubeSketch& b)
+    : params_(a.params_),
+      rows_(a.rows_),
+      alphas_(a.alphas_.size()),
+      gammas_(a.gammas_.size()),
+      det_alpha_(a.det_alpha_ ^ b.det_alpha_),
+      det_gamma_(a.det_gamma_ ^ b.det_gamma_),
+      col_seeds_(a.col_seeds_),
+      gamma_seeds_(a.gamma_seeds_) {
+  GZ_CHECK_MSG(a.params_ == b.params_,
+               "summing sketches with different parameters");
+  for (size_t i = 0; i < alphas_.size(); ++i) {
+    alphas_[i] = a.alphas_[i] ^ b.alphas_[i];
+    gammas_[i] = a.gammas_[i] ^ b.gammas_[i];
+  }
+}
+
+CubeSketch CubeSketch::Sum(const CubeSketch& a, const CubeSketch& b) {
+  return CubeSketch(a, b);
 }
 
 // The update math itself lives in sketch_kernel.cc (NodeSketchUpdateBatch
@@ -168,6 +203,42 @@ void CubeSketch::DeserializeFrom(const uint8_t* in) {
   std::memcpy(&det_alpha_, in, sizeof(det_alpha_));
   in += sizeof(det_alpha_);
   std::memcpy(&det_gamma_, in, sizeof(det_gamma_));
+}
+
+void CubeSketch::MergeSerialized(const uint8_t* in) {
+  const size_t n = alphas_.size();
+  for (size_t i = 0; i < n; ++i) alphas_[i] ^= LoadU64(in + 8 * i);
+  in += n * sizeof(uint64_t);
+  for (size_t i = 0; i < n; ++i) gammas_[i] ^= LoadU32(in + 4 * i);
+  in += n * sizeof(uint32_t);
+  det_alpha_ ^= LoadU64(in);
+  det_gamma_ ^= LoadU32(in + sizeof(uint64_t));
+}
+
+void CubeSketch::ReplaceSerialized(const uint8_t* in, CubeSketch* sum) {
+  GZ_CHECK_MSG(sum->params_ == params_,
+               "replacing into a sum with different parameters");
+  const size_t n = alphas_.size();
+  uint64_t* sum_alphas = sum->alphas_.data();
+  uint32_t* sum_gammas = sum->gammas_.data();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t fresh = LoadU64(in + 8 * i);
+    sum_alphas[i] ^= alphas_[i] ^ fresh;
+    alphas_[i] = fresh;
+  }
+  in += n * sizeof(uint64_t);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t fresh = LoadU32(in + 4 * i);
+    sum_gammas[i] ^= gammas_[i] ^ fresh;
+    gammas_[i] = fresh;
+  }
+  in += n * sizeof(uint32_t);
+  const uint64_t fresh_alpha = LoadU64(in);
+  const uint32_t fresh_gamma = LoadU32(in + sizeof(uint64_t));
+  sum->det_alpha_ ^= det_alpha_ ^ fresh_alpha;
+  sum->det_gamma_ ^= det_gamma_ ^ fresh_gamma;
+  det_alpha_ = fresh_alpha;
+  det_gamma_ = fresh_gamma;
 }
 
 }  // namespace gz

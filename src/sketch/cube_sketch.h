@@ -64,6 +64,11 @@ class CubeSketch {
   // After the call, this sketch represents the mod-2 sum of both vectors.
   void Merge(const CubeSketch& other);
 
+  // The sketch a ^ b, written in one pass over both inputs (no copy of
+  // `a` first). Boruvka's copy-on-write fold builds a representative's
+  // private sum this way the first time it absorbs another component.
+  static CubeSketch Sum(const CubeSketch& a, const CubeSketch& b);
+
   // Resets to the sketch of the zero vector.
   void Clear();
 
@@ -91,6 +96,15 @@ class CubeSketch {
   static size_t SerializedSizeFor(const CubeSketchParams& params);
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
+  // XORs a serialized record (SerializeTo layout, same params) into this
+  // sketch in place: Merge() without deserializing into a scratch
+  // sketch first. The record may sit at any byte offset; every word is
+  // read with an unaligned-safe load.
+  void MergeSerialized(const uint8_t* in);
+  // Overwrites this sketch with a serialized record and XORs the change
+  // (old ^ new) into `*sum`, all in one pass: sum ^= this ^ record;
+  // this = record. The snapshot cache's per-shard refresh step.
+  void ReplaceSerialized(const uint8_t* in, CubeSketch* sum);
 
   friend bool operator==(const CubeSketch& a, const CubeSketch& b) {
     return a.params_ == b.params_ && a.alphas_ == b.alphas_ &&
@@ -99,6 +113,9 @@ class CubeSketch {
   }
 
  private:
+  // Sum()'s constructor: a ^ b, same params as both.
+  CubeSketch(const CubeSketch& a, const CubeSketch& b);
+
   // Bucket index within the flattened column-major arrays.
   int BucketIndex(int col, int row) const { return col * rows_ + row; }
 

@@ -136,4 +136,20 @@ void NodeSketch::DeserializeFrom(const uint8_t* in) {
   }
 }
 
+void NodeSketch::MergeSerialized(const uint8_t* in) {
+  for (CubeSketch& s : subsketches_) {
+    s.MergeSerialized(in);
+    in += s.SerializedSize();
+  }
+}
+
+void NodeSketch::ReplaceSerialized(const uint8_t* in, NodeSketch* sum) {
+  GZ_CHECK_MSG(sum->params_ == params_,
+               "replacing into a sum with different parameters");
+  for (int r = 0; r < rounds(); ++r) {
+    subsketches_[r].ReplaceSerialized(in, &sum->subsketches_[r]);
+    in += subsketches_[r].SerializedSize();
+  }
+}
+
 }  // namespace gz

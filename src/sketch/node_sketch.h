@@ -80,6 +80,15 @@ class NodeSketch {
   static size_t SerializedSizeFor(const NodeSketchParams& params);
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
+  // XORs a serialized record (SerializeTo layout, same params) into this
+  // sketch in place, bitwise-equal to DeserializeFrom into a scratch
+  // sketch + Merge() but one pass and no scratch. Records need no
+  // alignment: a round record is 12 bytes per bucket, so its words
+  // start misaligned whenever the bucket count is odd.
+  void MergeSerialized(const uint8_t* in);
+  // Overwrites this sketch with a serialized record and XORs the change
+  // into `*sum` in the same pass: sum ^= this ^ record; this = record.
+  void ReplaceSerialized(const uint8_t* in, NodeSketch* sum);
 
   friend bool operator==(const NodeSketch& a, const NodeSketch& b) {
     return a.params_ == b.params_ && a.subsketches_ == b.subsketches_;

@@ -30,8 +30,12 @@ struct Chunk {
 using RoundChunkFn = void (*)(const Chunk& chunk, int cols, int rows,
                               const CubeSketchBuckets& b);
 
+void RoundChunkScalar(const Chunk& ch, int cols, int rows,
+                      const CubeSketchBuckets& b);
+
 // Walks the span in stack chunks, premixes each chunk once and hands
-// it to `apply` for every round.
+// it to `apply` for every round; chunks below kSketchKernelMinSimdChunk
+// indices go to the scalar round instead.
 void RunChunks(const NodeSketchKernelArgs& a, RoundChunkFn apply) {
   GZ_CHECK(a.rows >= 1 && a.rows <= kMaxRows);
   alignas(64) uint64_t premix[kSketchKernelChunk];
@@ -49,7 +53,17 @@ void RunChunks(const NodeSketchKernelArgs& a, RoundChunkFn apply) {
     const Chunk chunk{indices, premix, n};
     for (int r = 0; r < a.num_rounds; ++r) {
       *a.rounds[r].det_alpha ^= det_alpha;
-      apply(chunk, a.cols, a.rows, a.rounds[r]);
+    }
+    // Two loops, not a selected pointer, so `apply` stays a direct call
+    // once RunChunks is inlined into its dispatch case.
+    if (n < kSketchKernelMinSimdChunk) {
+      for (int r = 0; r < a.num_rounds; ++r) {
+        RoundChunkScalar(chunk, a.cols, a.rows, a.rounds[r]);
+      }
+    } else {
+      for (int r = 0; r < a.num_rounds; ++r) {
+        apply(chunk, a.cols, a.rows, a.rounds[r]);
+      }
     }
   }
 }

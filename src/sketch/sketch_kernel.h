@@ -92,6 +92,18 @@ void ForceSketchKernel(SketchKernel kernel);
 // Indices per premixed chunk (see the top of this file).
 inline constexpr size_t kSketchKernelChunk = 256;
 
+// Chunks of fewer indices run the scalar round under every kernel. A
+// SIMD round pays a fixed cost per call (zeroing the register rows,
+// the lane reductions and the deep-row sweep in every column) that a
+// near-empty node gutter cannot amortize. bench_sketch_kernel at the
+// kron12 geometry (4096 nodes, 21 rounds, 24 rows; GZ_BENCH_SK_BATCH
+// 1..64 on a 4-vCPU AVX-512 host) puts the crossover between 3 and 4
+// indices per node batch: scalar ~2.9/5.5/9.9/13.5 us at 1/2/3/4
+// indices against ~10-12 us for AVX-512 and ~8-17 us for AVX2 at each
+// of those counts, after which the SIMD rounds pull ahead (8 indices:
+// ~10 us AVX-512, ~21 us scalar).
+inline constexpr size_t kSketchKernelMinSimdChunk = 4;
+
 // Bucket rows the AVX-512 kernel accumulates in registers; deeper lanes
 // go through the spill buffer.
 inline constexpr int kSketchKernelRegisterRows = 4;

@@ -105,6 +105,62 @@ TEST_P(SpanningForestsPropertyTest, ForestsAreEdgeDisjointSubForests) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SpanningForestsPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// The peeling written out with a full working copy per phase and the
+// in-place engine: the reference every extractor form must reproduce
+// forest for forest.
+ForestDecomposition PeelWithWorkingCopies(std::vector<NodeSketch> pristine,
+                                          int k) {
+  const uint64_t n = pristine[0].params().num_nodes;
+  const int per_phase = pristine[0].rounds() / k;
+  ForestDecomposition out;
+  for (int phase = 0; phase < k; ++phase) {
+    std::vector<NodeSketch> working = pristine;
+    const ConnectivityResult cc =
+        BoruvkaConnectivity(&working, phase * per_phase, per_phase);
+    if (cc.failed) {
+      out.failed = true;
+      break;
+    }
+    if (cc.spanning_forest.empty()) break;
+    out.forests.push_back(cc.spanning_forest);
+    for (const Edge& e : cc.spanning_forest) {
+      pristine[e.u].Update(EdgeToIndex(e, n));
+      pristine[e.v].Update(EdgeToIndex(e, n));
+    }
+  }
+  return out;
+}
+
+TEST(SpanningForestsTest, EveryFormMatchesWorkingCopyPeeling) {
+  for (const uint64_t seed : {3, 4}) {
+    const uint64_t n = 64;
+    const int k = 3;
+    const EdgeList edges = RandomConnectedGraph(n, 200, seed);
+    const std::vector<NodeSketch> input =
+        SketchGraph(n, seed + 9, edges, RoundsForForests(n, k));
+    const ForestDecomposition want = PeelWithWorkingCopies(input, k);
+    ASSERT_FALSE(want.failed);
+    ASSERT_EQ(want.forests.size(), 3u);
+
+    const GraphSnapshot snapshot(input, edges.size());
+    const ForestDecomposition from_const =
+        ExtractSpanningForests(snapshot, k).value();
+    EXPECT_TRUE(snapshot == GraphSnapshot(input, edges.size()))
+        << "the const extractor wrote into its input";
+    GraphSnapshot consumed = snapshot;
+    const ForestDecomposition from_rvalue =
+        ExtractSpanningForests(std::move(consumed), k).value();
+    std::vector<NodeSketch> raw = input;
+    const ForestDecomposition from_raw =
+        ExtractSpanningForests(&raw, k).value();
+    for (const ForestDecomposition* got :
+         {&from_const, &from_rvalue, &from_raw}) {
+      EXPECT_EQ(got->failed, want.failed);
+      EXPECT_EQ(got->forests, want.forests);
+    }
+  }
+}
+
 TEST(SpanningForestsTest, EmptyGraphYieldsNoForests) {
   auto sketches = SketchGraph(8, 3, {}, RoundsForForests(8, 2));
   const ForestDecomposition d =

@@ -11,6 +11,7 @@
 #include "baseline/matrix_checker.h"
 #include "stream/stream_file.h"
 #include "core/connectivity.h"
+#include "core/graph_snapshot.h"
 #include "dsu/dsu.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_types.h"
@@ -294,6 +295,84 @@ TEST(ConnectivityTest, BadRoundWindowAborts) {
   const int rounds = sketches[0].rounds();
   EXPECT_DEATH(BoruvkaConnectivity(&sketches, rounds, 1),
                "first_round");
+}
+
+// Everything a caller can observe of a query result.
+void ExpectSameResult(const ConnectivityResult& got,
+                      const ConnectivityResult& want) {
+  EXPECT_EQ(got.failed, want.failed);
+  EXPECT_EQ(got.rounds_used, want.rounds_used);
+  EXPECT_EQ(got.num_components, want.num_components);
+  EXPECT_EQ(got.spanning_forest, want.spanning_forest);
+  EXPECT_EQ(got.component_of, want.component_of);
+}
+
+// Copy-on-write Boruvka (const input) is the same engine as the
+// in-place one: at every thread count it must return the same forest,
+// labels and round count as a query that consumes a copy, and it must
+// leave the queried snapshot bitwise unchanged. The star folds one
+// giant group per round; the sparse ER graph leaves many components of
+// mixed sizes, some of which stop absorbing early.
+TEST(ConnectivityTest, ConstQueryMatchesConsumedAtAnyThreadCount) {
+  EdgeList star;
+  for (NodeId i = 1; i < 4096; ++i) star.emplace_back(0, i);
+  ErdosRenyiParams ep;
+  ep.num_nodes = 2048;
+  ep.p = 1.2 / 2048;
+  ep.seed = 17;
+  const EdgeList er = ErdosRenyiGenerator(ep).Generate();
+  const struct {
+    const char* name;
+    uint64_t n;
+    const EdgeList* edges;
+  } cases[] = {{"giant star", 4096, &star}, {"sparse ER", 2048, &er}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const GraphSnapshot snapshot(SketchGraph(c.n, 21, *c.edges),
+                                 c.edges->size());
+    const std::vector<uint8_t> before = snapshot.Serialize();
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      const ConnectivityResult got = Connectivity(snapshot, threads);
+      GraphSnapshot consumed = snapshot;
+      const ConnectivityResult want =
+          Connectivity(std::move(consumed), threads);
+      ASSERT_FALSE(want.failed);
+      ExpectSameResult(got, want);
+      CheckForest(got, c.n, *c.edges);
+    }
+    EXPECT_TRUE(snapshot.Serialize() == before)
+        << "a const query wrote into its input";
+  }
+}
+
+// The same identity inside a round window, the form multi-phase
+// algorithms (forest peeling) call: the const engine may only ever
+// hold rounds of the window, and must still agree with the in-place
+// engine on every window, including one it cannot finish in.
+TEST(ConnectivityTest, ConstWindowMatchesInPlaceWindow) {
+  const uint64_t n = 1500;
+  const EdgeList edges = RandomConnectedGraph(n, 3 * n, 23);
+  const std::vector<NodeSketch> input = SketchGraph(n, 24, edges);
+  const int rounds = input[0].rounds();
+  const struct {
+    int first_round, num_rounds;
+  } windows[] = {{0, 1}, {0, 3}, {2, 4}, {rounds / 2, -1}, {0, -1}};
+  for (const auto& w : windows) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "window " << w.first_round << "+"
+                                        << w.num_rounds << ", " << threads
+                                        << " threads");
+      const ConnectivityResult got = BoruvkaConnectivity(
+          input, w.first_round, w.num_rounds, threads);
+      std::vector<NodeSketch> scratch = input;
+      const ConnectivityResult want = BoruvkaConnectivity(
+          &scratch, w.first_round, w.num_rounds, threads);
+      ExpectSameResult(got, want);
+    }
+  }
+  EXPECT_TRUE(input == SketchGraph(n, 24, edges))
+      << "a const query wrote into its input";
 }
 
 TEST(ConnectivityTest, ManySmallComponents) {

@@ -15,6 +15,7 @@
 #include "core/graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_types.h"
+#include "util/random.h"
 
 namespace gz {
 namespace {
@@ -305,6 +306,147 @@ TEST(GraphSnapshotTest, NodeRangeDeltasMoveStateExactly) {
   GraphSnapshot zero = empty;
   zero.AddUpdates(a.num_updates());
   EXPECT_TRUE(drained == zero);
+}
+
+// A snapshot of random sketch content under the given geometry (no
+// graph meaning needed: the byte fold is pure XOR algebra).
+GraphSnapshot RandomSnapshot(const NodeSketchParams& params,
+                             uint64_t updates, uint64_t rng_seed) {
+  SplitMix64 rng(rng_seed);
+  const uint64_t vector_len = NumPossibleEdges(params.num_nodes);
+  std::vector<NodeSketch> sketches(params.num_nodes, NodeSketch(params));
+  for (NodeSketch& s : sketches) {
+    for (int i = 0; i < 5; ++i) s.Update(rng.NextBelow(vector_len));
+  }
+  return GraphSnapshot(std::move(sketches), updates);
+}
+
+// `bytes` copied to a buffer at `offset` bytes past an allocation's
+// (maximally aligned) start, so the fold reads at every alignment.
+std::vector<uint8_t> Shifted(const std::vector<uint8_t>& bytes,
+                             size_t offset) {
+  std::vector<uint8_t> out(offset + bytes.size(), 0xA5);
+  std::memcpy(out.data() + offset, bytes.data(), bytes.size());
+  return out;
+}
+
+// The in-place byte fold (NodeSketch::MergeSerialized behind
+// MergeSerialized / MergeSerializedNodeRange) and the replace-and-fold
+// of the snapshot cache must equal the deserialize-into-scratch +
+// Merge they replace, bit for bit: over whole snapshots and node
+// ranges, from buffers at every alignment, and under geometries whose
+// round record (12 bytes per bucket) is not a multiple of 8, so that
+// later rounds' u64 words start misaligned.
+TEST(GraphSnapshotTest, InPlaceByteFoldMatchesDeserializeThenMerge) {
+  bool saw_unaligned_record = false;
+  for (const int cols : {1, 2, 7}) {
+    for (const uint64_t n : {uint64_t{32}, uint64_t{45}}) {
+      NodeSketchParams p;
+      p.num_nodes = n;
+      p.seed = 11 + cols;
+      p.cols = cols;
+      p.rounds = NodeSketch::DefaultRounds(n);
+      const size_t record = NodeSketch::SerializedSizeFor(p);
+      const size_t round_record = record / p.rounds;
+      saw_unaligned_record |= round_record % 8 != 0;
+      SCOPED_TRACE(::testing::Message() << "cols " << cols << ", n " << n
+                                        << ", round record "
+                                        << round_record);
+      const GraphSnapshot a = RandomSnapshot(p, 100, 1);
+      const GraphSnapshot b = RandomSnapshot(p, 23, 2);
+      const GraphSnapshot c = RandomSnapshot(p, 0, 3);
+
+      // Reference fold: each record deserialized into a scratch sketch,
+      // then merged.
+      auto reference = [&p, record](GraphSnapshot base, const uint8_t* in,
+                                    uint64_t lo, uint64_t hi) {
+        NodeSketch scratch(p);
+        for (uint64_t i = lo; i < hi; ++i, in += record) {
+          scratch.DeserializeFrom(in);
+          GZ_CHECK_OK(base.MergeNodeDelta(static_cast<NodeId>(i), scratch));
+        }
+        return base;
+      };
+
+      const std::vector<uint8_t> whole = b.Serialize();
+      const size_t header = whole.size() - n * record;
+      GraphSnapshot expect = reference(a, whole.data() + header, 0, n);
+      expect.AddUpdates(b.num_updates());
+      const uint64_t lo = 3, hi = n - 5;
+      const std::vector<uint8_t> range = b.ExtractNodeRange(lo, hi);
+      const size_t range_header = range.size() - (hi - lo) * record;
+      const GraphSnapshot expect_range =
+          reference(a, range.data() + range_header, lo, hi);
+      for (const size_t offset : {0, 1, 4, 7}) {
+        SCOPED_TRACE(offset);
+        const std::vector<uint8_t> w = Shifted(whole, offset);
+        GraphSnapshot got = a;
+        ASSERT_TRUE(got.MergeSerialized(w.data() + offset, whole.size()).ok());
+        EXPECT_TRUE(got == expect);
+        EXPECT_TRUE(got.Serialize() == expect.Serialize());
+
+        const std::vector<uint8_t> r = Shifted(range, offset);
+        GraphSnapshot got_range = a;
+        ASSERT_TRUE(
+            got_range.MergeSerializedNodeRange(r.data() + offset, range.size())
+                .ok());
+        EXPECT_TRUE(got_range == expect_range);
+
+        // Replace-and-fold: content takes the fresh bytes, the sum
+        // takes content ^ fresh, in one pass.
+        GraphSnapshot content = a;
+        GraphSnapshot sum = c;
+        ASSERT_TRUE(content
+                        .ReplaceSerializedNodeRange(r.data() + offset,
+                                                    range.size(), &sum)
+                        .ok());
+        for (uint64_t i = 0; i < n; ++i) {
+          const bool in_range = i >= lo && i < hi;
+          EXPECT_TRUE(content.sketch(static_cast<NodeId>(i)) ==
+                      (in_range ? b : a).sketch(static_cast<NodeId>(i)))
+              << "content node " << i;
+          NodeSketch want = c.sketch(static_cast<NodeId>(i));
+          if (in_range) {
+            want.Merge(a.sketch(static_cast<NodeId>(i)));
+            want.Merge(b.sketch(static_cast<NodeId>(i)));
+          }
+          EXPECT_TRUE(sum.sketch(static_cast<NodeId>(i)) == want)
+              << "sum node " << i;
+        }
+        EXPECT_EQ(content.num_updates(), a.num_updates());
+        EXPECT_EQ(sum.num_updates(), c.num_updates());
+      }
+    }
+  }
+  EXPECT_TRUE(saw_unaligned_record);
+}
+
+TEST(GraphSnapshotTest, ReplaceAndFoldRejectsMismatchUnchanged) {
+  NodeSketchParams p;
+  p.num_nodes = 16;
+  p.seed = 5;
+  p.rounds = NodeSketch::DefaultRounds(16);
+  NodeSketchParams other = p;
+  other.seed = 6;
+  const GraphSnapshot a = RandomSnapshot(p, 0, 1);
+  const GraphSnapshot b = RandomSnapshot(p, 0, 2);
+  const std::vector<uint8_t> range = b.ExtractNodeRange(2, 9);
+  GraphSnapshot content = a;
+  GraphSnapshot foreign_sum = RandomSnapshot(other, 0, 3);
+  const GraphSnapshot foreign_before = foreign_sum;
+  EXPECT_EQ(content.ReplaceSerializedNodeRange(range.data(), range.size(),
+                                               &foreign_sum)
+                .code(),
+            StatusCode::kInvalidArgument);
+  GraphSnapshot sum = RandomSnapshot(p, 0, 4);
+  const GraphSnapshot sum_before = sum;
+  EXPECT_EQ(content.ReplaceSerializedNodeRange(range.data(),
+                                               range.size() - 1, &sum)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(content == a);
+  EXPECT_TRUE(sum == sum_before);
+  EXPECT_TRUE(foreign_sum == foreign_before);
 }
 
 TEST(GraphSnapshotTest, NodeRangeDeltaRejectsGarbage) {

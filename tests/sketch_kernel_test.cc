@@ -317,6 +317,33 @@ TEST(SketchKernelTest, ChunkBoundaryCountsMatchReference) {
   }
 }
 
+// Chunks below kSketchKernelMinSimdChunk take the scalar round under
+// every kernel; counts just below, at and above that threshold, alone
+// and as the tail chunk after a full one, must all stay bitwise equal.
+TEST(SketchKernelTest, ScalarThresholdCountsMatchReference) {
+  SplitMix64 rng(1234);
+  const size_t t = kSketchKernelMinSimdChunk;
+  ASSERT_GE(t, 2u);
+  const size_t chunk = kSketchKernelChunk;
+  for (size_t count : {size_t{1}, t - 1, t, t + 1, chunk + t - 1,
+                       chunk + t, chunk + t + 1}) {
+    std::vector<RoundBuckets> rounds;
+    for (int r = 0; r < 3; ++r) {
+      rounds.push_back(MakeRound(7, 25,
+                                 {rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next()},
+                                 {rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next(), rng.Next(),
+                                  rng.Next(), rng.Next()}));
+    }
+    std::vector<uint64_t> indices(count);
+    for (uint64_t& idx : indices) idx = rng.NextBelow(1ULL << 24);
+    SCOPED_TRACE(count);
+    ExpectKernelsMatchReference(rounds, indices);
+  }
+}
+
 TEST(SketchKernelTest, NodeSketchBatchMatchesPerIndexCubeUpdates) {
   // NodeSketch::UpdateBatch (one kernel call over every round) against
   // CubeSketch::Update per index and round, at counts straddling the
