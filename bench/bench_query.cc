@@ -140,11 +140,14 @@ int main() {
   }
 
   // ---- Read path --------------------------------------------------------------
-  // The two copy-sensitive steps of a notification, at the gzbench
+  // The copy-sensitive steps of a notification, at the gzbench
   // geometry (kron12: 4096 nodes, 21 rounds, 174 MB per snapshot):
-  //   (a) SnapshotCache::Refresh with one moved shard of two — the
-  //       puller hands over pre-extracted bytes, so `pull_ms` is one
-  //       memcpy of the chunk and the rest is the cache's own fold;
+  //   (a) SnapshotCache::Refresh after a one-edge toggle on one shard
+  //       of two, pulling changed-range streams from live in-process
+  //       shards (flush + two records + fold), and a refresh that
+  //       replaces one whole moved shard — the puller hands over
+  //       pre-extracted bytes, so `pull_ms` is one memcpy of the chunk
+  //       and the rest is the cache's own fold;
   //   (b) Connectivity on the served snapshot, const (the cache keeps
   //       it) vs consumed (a copy moved in; the copy is not timed).
   // Every refresh is GZ_CHECK'd bitwise against an XOR refold, and the
@@ -161,13 +164,17 @@ int main() {
     std::fprintf(stderr, "read-path bench: kron%d, %zu edges, %d reps\n",
                  logv, edges.size(), reps);
 
-    // Two shards split the stream by edge parity. Shard 0 alternates
-    // between two contents, a and b (b = a plus one toggled edge), so
-    // every timed refresh moves exactly one shard.
+    // Two shards split the stream by edge parity. The probe edge
+    // (0, n-1) is toggled on shard 0, so every timed refresh moves
+    // exactly one shard, and exactly two nodes of it.
     GraphZeppelinConfig config = bench::DefaultGzConfig();
     config.num_nodes = n;
+    const GraphUpdate toggle{{0, static_cast<NodeId>(n - 1)},
+                             UpdateType::kInsert};
     std::vector<uint8_t> shard0_a, shard0_b, shard1;
     NodeSketchParams params;
+    std::vector<double> toggle_ms;
+    double toggle_bytes = 0;
     {
       GraphZeppelin s0(config), s1(config);
       GZ_CHECK_OK(s0.Init());
@@ -179,22 +186,69 @@ int main() {
       s0.Update(u0.data(), u0.size());
       s1.Update(u1.data(), u1.size());
       params = s0.sketch_params();
+
+      // (1) Refresh after a one-edge toggle: the cache pulls the live
+      // shards' changed-range streams, so a refresh moves the two
+      // endpoint records of the toggled edge.
+      {
+        GraphZeppelin* shards[2] = {&s0, &s1};
+        SnapshotCache cache;
+        auto puller = [&](int shard, uint64_t lo, uint64_t hi,
+                          const ChangeToken& since,
+                          std::vector<uint8_t>* changed) {
+          return shards[shard]->WriteChangedNodeRangesTo(
+              lo, hi, since,
+              [changed](size_t bytes) {
+                changed->reserve(bytes);
+                return Status::Ok();
+              },
+              [changed](const void* data, size_t size) {
+                const uint8_t* p = static_cast<const uint8_t*>(data);
+                changed->insert(changed->end(), p, p + size);
+                return Status::Ok();
+              });
+        };
+        ShardWatermarks marks = {{0, {1, 0}}, {1, {1, 0}}};
+        GZ_CHECK_OK(cache.Refresh(1, marks, 0, params, puller));
+        for (int r = 0; r < reps; ++r) {
+          s0.Update(&toggle, 1);
+          ++marks[0].num_updates;
+          const uint64_t bytes_before = cache.pulled_bytes();
+          WallTimer t;
+          GZ_CHECK_OK(cache.Refresh(1, marks, 0, params, puller));
+          toggle_ms.push_back(t.Seconds() * 1e3);
+          toggle_bytes = static_cast<double>(cache.pulled_bytes() -
+                                             bytes_before);
+        }
+        GraphSnapshot refold = s0.Snapshot();
+        GZ_CHECK_OK(s1.MergeSnapshotInto(&refold));
+        refold.SetUpdates(0);
+        GZ_CHECK_MSG(refold == cache.merged(),
+                     "toggle-refreshed snapshot differs from an XOR refold");
+      }
+      if (reps % 2 == 1) s0.Update(&toggle, 1);  // Back to content a.
       shard0_a = s0.Snapshot().ExtractNodeRange(0, n);
       shard1 = s1.Snapshot().ExtractNodeRange(0, n);
-      const GraphUpdate toggle{{0, static_cast<NodeId>(n - 1)},
-                               UpdateType::kInsert};
       s0.Update(&toggle, 1);
       shard0_b = s0.Snapshot().ExtractNodeRange(0, n);
     }
 
+    // (2) Refresh that replaces one whole moved shard — what a pull
+    // from another store (a restarted shard, a failover) costs: every
+    // pull claims a new incarnation, so each carries all n records.
     SnapshotCache cache;
     const std::vector<uint8_t>* shard0 = &shard0_a;
     double pull_s = 0;
-    auto puller = [&](int shard, uint64_t lo, uint64_t hi,
-                      std::vector<uint8_t>* delta) {
+    uint64_t incarnation = 0;
+    auto puller = [&](int shard, uint64_t lo, uint64_t hi, const ChangeToken&,
+                      std::vector<uint8_t>* changed) {
       GZ_CHECK(lo == 0 && hi == n);  // One chunk per shard at this size.
       WallTimer t;
-      *delta = shard == 0 ? *shard0 : shard1;
+      const std::vector<uint8_t>& range = shard == 0 ? *shard0 : shard1;
+      changed->resize(GraphSnapshot::kChangedRangesPrefixBytes);
+      GraphSnapshot::WriteChangedRangesPrefix({++incarnation, 0}, 1,
+                                              changed->data());
+      changed->insert(changed->end(), range.begin(), range.end());
       pull_s += t.Seconds();
       return Status::Ok();
     };
@@ -254,6 +308,8 @@ int main() {
     std::printf(
         "  {\"read_path\": {\"v\": %llu, \"edges\": %zu, \"rounds\": %d,\n"
         "   \"snapshot_mb\": %.1f, \"reps\": %d, \"query_threads\": %d,\n"
+        "   \"refresh_one_edge_toggle_ms_p50\": %.3f, "
+        "\"refresh_one_edge_toggle_kb\": %.1f,\n"
         "   \"refresh_one_moved_shard_ms_p50\": %.2f, "
         "\"refresh_pull_ms_p50\": %.2f,\n"
         "   \"connectivity_const_ms_p50\": %.2f, "
@@ -262,7 +318,8 @@ int main() {
         "   \"components\": %zu}},\n",
         static_cast<unsigned long long>(n), edges.size(), params.rounds,
         static_cast<double>(served_bytes.size()) / (1024.0 * 1024.0), reps,
-        ResolveQueryThreads(0), Percentile(&refresh_ms, 0.5),
+        ResolveQueryThreads(0), Percentile(&toggle_ms, 0.5),
+        toggle_bytes / 1024.0, Percentile(&refresh_ms, 0.5),
         Percentile(&pull_ms, 0.5), Percentile(&const_ms, 0.5),
         Percentile(&consumed_ms, 0.5), Percentile(&copy_ms, 0.5),
         const_result.num_components);

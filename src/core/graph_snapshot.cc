@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "util/check.h"
 
@@ -359,19 +360,81 @@ Status GraphSnapshot::ParseSerializedNodeRange(
 Status GraphSnapshot::SaveRangeToSink(
     const std::function<Status(const void* data, size_t size)>& sink,
     const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+    const RecordWriter& record) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
   uint8_t header[kRangeHeaderBytes];
   WriteRangeHeader(params, lo, hi, header);
   Status s = sink(header, kRangeHeaderBytes);
   std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
   for (uint64_t i = lo; s.ok() && i < hi; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
+    record(static_cast<NodeId>(i), buf.data());
     s = sink(buf.data(), buf.size());
   }
   return s;
+}
+
+void GraphSnapshot::WriteChangedRangesPrefix(const ChangeToken& now,
+                                             uint64_t records,
+                                             uint8_t* out) {
+  std::memcpy(out, &now.incarnation, sizeof(uint64_t));
+  std::memcpy(out + 8, &now.generation, sizeof(uint64_t));
+  std::memcpy(out + 16, &records, sizeof(uint64_t));
+}
+
+Status GraphSnapshot::ReplaceChangedNodeRanges(const uint8_t* data,
+                                               size_t size,
+                                               GraphSnapshot* sum,
+                                               ChangeToken* now) {
+  if (!valid() || sum == nullptr || !sum->valid()) {
+    return Status::InvalidArgument("empty snapshot");
+  }
+  if (!(sum->params() == params())) {
+    return Status::InvalidArgument(
+        "snapshot params mismatch: replace-and-fold requires identical "
+        "seed, node bound and sketch geometry");
+  }
+  if (data == nullptr || size < kChangedRangesPrefixBytes) {
+    return Status::InvalidArgument("changed-range stream too short");
+  }
+  ChangeToken token;
+  uint64_t count = 0;
+  std::memcpy(&token.incarnation, data, sizeof(uint64_t));
+  std::memcpy(&token.generation, data + 8, sizeof(uint64_t));
+  std::memcpy(&count, data + 16, sizeof(uint64_t));
+  // Pass 1 splits the stream into records and validates each, so the
+  // folds of pass 2 cannot fail halfway. A record's length follows
+  // from its own [lo, hi) once those are checked against the params.
+  const size_t record = NodeSketch::SerializedSizeFor(params());
+  std::vector<std::pair<size_t, size_t>> spans;  // (offset, bytes)
+  size_t offset = kChangedRangesPrefixBytes;
+  for (uint64_t r = 0; r < count; ++r) {
+    if (size - offset < kRangeHeaderBytes) {
+      return Status::InvalidArgument("changed-range stream truncated");
+    }
+    uint64_t lo = 0, hi = 0;
+    std::memcpy(&lo, data + offset + kRangeHeaderBytes - 16, sizeof(lo));
+    std::memcpy(&hi, data + offset + kRangeHeaderBytes - 8, sizeof(hi));
+    if (!(lo < hi && hi <= num_nodes()) ||
+        (hi - lo) > (size - offset - kRangeHeaderBytes) / record) {
+      return Status::InvalidArgument(
+          "changed-range stream has a bad or truncated record");
+    }
+    const size_t bytes = kRangeHeaderBytes + (hi - lo) * record;
+    Status s =
+        ParseSerializedNodeRange(data + offset, bytes, params(), &lo, &hi);
+    if (!s.ok()) return s;
+    spans.emplace_back(offset, bytes);
+    offset += bytes;
+  }
+  if (offset != size) {
+    return Status::InvalidArgument(
+        "changed-range stream has trailing bytes after its records");
+  }
+  for (const auto& [at, bytes] : spans) {
+    GZ_CHECK_OK(ReplaceSerializedNodeRange(data + at, bytes, sum));
+  }
+  *now = token;
+  return Status::Ok();
 }
 
 std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
@@ -386,7 +449,7 @@ std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
         return Status::Ok();
       },
       params(), lo, hi,
-      [this](NodeId i) -> const NodeSketch& { return sketches_[i]; }));
+      [this](NodeId i, uint8_t* out) { sketches_[i].SerializeTo(out); }));
   return out;
 }
 
@@ -440,15 +503,15 @@ std::vector<NodeSketch> GraphSnapshot::ReleaseSketches() {
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
   return SaveStream(path, params(), num_updates_,
-                    [this](NodeId i) -> const NodeSketch& {
-                      return sketches_[i];
+                    [this](NodeId i, uint8_t* out) {
+                      sketches_[i].SerializeTo(out);
                     });
 }
 
 Status GraphSnapshot::SaveToSink(
     const std::function<Status(const void* data, size_t size)>& sink,
     const NodeSketchParams& params, uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+    const RecordWriter& record) {
   uint8_t header[kHeaderBytes];
   WriteHeader(params, num_updates, header);
   Status s = sink(header, kHeaderBytes);
@@ -456,18 +519,16 @@ Status GraphSnapshot::SaveToSink(
   // doubled footprint of a full Serialize() buffer.
   std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
   for (uint64_t i = 0; s.ok() && i < params.num_nodes; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
+    record(static_cast<NodeId>(i), buf.data());
     s = sink(buf.data(), buf.size());
   }
   return s;
 }
 
-Status GraphSnapshot::SaveStream(
-    const std::string& path, const NodeSketchParams& params,
-    uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+Status GraphSnapshot::SaveStream(const std::string& path,
+                                 const NodeSketchParams& params,
+                                 uint64_t num_updates,
+                                 const RecordWriter& record) {
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create snapshot file: " + path);
@@ -479,7 +540,7 @@ Status GraphSnapshot::SaveStream(
         }
         return Status::Ok();
       },
-      params, num_updates, load);
+      params, num_updates, record);
   std::fclose(f);
   return s;
 }

@@ -33,6 +33,24 @@
 
 namespace gz {
 
+// Where a reader's copy of one sketch store stands: the store's
+// incarnation and the generation its last read saw (see
+// core/sketch_store.h). The zero token matches no store, so a read
+// from it returns every node — a cold build is just a read from zero.
+struct ChangeToken {
+  uint64_t incarnation = 0;
+  uint64_t generation = 0;
+
+  friend bool operator==(const ChangeToken& a, const ChangeToken& b) {
+    return a.incarnation == b.incarnation && a.generation == b.generation;
+  }
+};
+
+// Writes `node`'s serialized record (NodeSketch::SerializeTo layout) to
+// `out`: how the streaming producers below read a sketch store without
+// staging each record through a scratch NodeSketch.
+using RecordWriter = std::function<void(NodeId node, uint8_t* out)>;
+
 class GraphSnapshot {
  public:
   // Empty snapshot; valid() is false and every other accessor is
@@ -134,12 +152,12 @@ class GraphSnapshot {
   Status ReplaceSerializedNodeRange(const uint8_t* data, size_t size,
                                     GraphSnapshot* sum);
   // Streaming producer of the ExtractNodeRange byte stream (header
-  // first, then one record per `load` call) — how a shard streams a
+  // first, then one record per `record` call) — how a shard streams a
   // migration delta into a socket frame without materializing it.
   static Status SaveRangeToSink(
       const std::function<Status(const void* data, size_t size)>& sink,
       const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-      const std::function<const NodeSketch&(NodeId)>& load);
+      const RecordWriter& record);
   // Validates a range delta's header against `expect_params` and
   // returns its bounds; the payload must cover exactly hi-lo records.
   // `payload_offset` (optional) receives where the records start, so
@@ -149,6 +167,23 @@ class GraphSnapshot {
                                          uint64_t* lo, uint64_t* hi,
                                          size_t* payload_offset = nullptr);
 
+  // --- Changed-range streams -----------------------------------------------
+  // The answer to a changed-only read of a sketch store
+  // (GraphZeppelin::WriteChangedNodeRangesTo): a prefix {incarnation,
+  // generation, record count} — the token the reader keeps for its
+  // next read — then that many node-range deltas, one per maximal run
+  // of nodes that changed since the reader's token.
+  static constexpr size_t kChangedRangesPrefixBytes = 3 * sizeof(uint64_t);
+  static void WriteChangedRangesPrefix(const ChangeToken& now,
+                                       uint64_t records, uint8_t* out);
+  // Replace-and-folds every record of a changed-range stream
+  // (ReplaceSerializedNodeRange per record) and returns the stream's
+  // token. The prefix and every record are validated
+  // before the first fold: InvalidArgument on malformed bytes or a
+  // params mismatch, with both snapshots unchanged.
+  Status ReplaceChangedNodeRanges(const uint8_t* data, size_t size,
+                                  GraphSnapshot* sum, ChangeToken* now);
+
   // Generalized streaming producer: writes the exact Serialize() byte
   // stream through `sink` (header first, then one node record per call)
   // with only one record materialized at a time. SaveStream is this with
@@ -157,7 +192,7 @@ class GraphSnapshot {
   static Status SaveToSink(
       const std::function<Status(const void* data, size_t size)>& sink,
       const NodeSketchParams& params, uint64_t num_updates,
-      const std::function<const NodeSketch&(NodeId)>& load);
+      const RecordWriter& record);
 
   // File forms, used by checkpointing. LoadFromFile distinguishes a
   // missing file (NotFound), a malformed header (InvalidArgument) and a
@@ -168,17 +203,15 @@ class GraphSnapshot {
   // Streaming file forms: identical file format, but only one node
   // record is in flight, for producers/consumers that cannot afford a
   // materialized snapshot (e.g. checkpointing an out-of-core sketch
-  // store). SaveStream pulls each node's sketch from `load` (the
-  // returned reference only needs to stay valid until the next call);
+  // store). SaveStream pulls each node's record from `record`;
   // LoadStream validates the header against `expect_params`
   // (InvalidArgument on mismatch), hands each record to `store`, and
   // returns the saved update count. `offset` skips a caller-owned
   // prefix first — how a shard checkpoint embeds a snapshot stream
   // after its own header.
-  static Status SaveStream(
-      const std::string& path, const NodeSketchParams& params,
-      uint64_t num_updates,
-      const std::function<const NodeSketch&(NodeId)>& load);
+  static Status SaveStream(const std::string& path,
+                           const NodeSketchParams& params,
+                           uint64_t num_updates, const RecordWriter& record);
   static Status LoadStream(
       const std::string& path, const NodeSketchParams& expect_params,
       uint64_t* num_updates,

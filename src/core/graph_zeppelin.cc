@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -189,17 +190,17 @@ GraphSnapshot GraphZeppelin::Snapshot() {
   return GraphSnapshot(std::move(sketches), num_updates_);
 }
 
+RecordWriter GraphZeppelin::StoreRecords() const {
+  SketchStore* store = store_.get();
+  return [store](NodeId i, uint8_t* out) { store->SerializeNode(i, out); };
+}
+
 Status GraphZeppelin::WriteSnapshotTo(
     const std::function<Status(const void* data, size_t size)>& write) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveToSink(
-      write, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveToSink(write, store_->params(), num_updates_,
+                                   StoreRecords());
 }
 
 Status GraphZeppelin::MergeSnapshotInto(GraphSnapshot* snapshot) {
@@ -228,13 +229,49 @@ Status GraphZeppelin::WriteNodeRangeTo(
     return Status::InvalidArgument("bad node range");
   }
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveRangeToSink(
-      write, store_->params(), lo, hi,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveRangeToSink(write, store_->params(), lo, hi,
+                                        StoreRecords());
+}
+
+Status GraphZeppelin::WriteChangedNodeRangesTo(
+    uint64_t lo, uint64_t hi, const ChangeToken& since,
+    const std::function<Status(size_t bytes)>& begin,
+    const std::function<Status(const void* data, size_t size)>& write) {
+  GZ_CHECK_MSG(initialized_, "Init() not called");
+  if (!(lo < hi && hi <= config_.num_nodes)) {
+    return Status::InvalidArgument("bad node range");
+  }
+  // The workers are drained and (the caller's contract, as for every
+  // extract) no update arrives until this returns, so no stamp moves
+  // while the runs are read and written: a node stamped at or below
+  // `now` is inside the bytes written here, and a later change stamps
+  // it above `now`.
+  Flush();
+  const bool foreign = since.incarnation != store_->incarnation();
+  const auto changed = [&](uint64_t i) {
+    return foreign || store_->stamp(static_cast<NodeId>(i)) > since.generation;
+  };
+  const ChangeToken now{store_->incarnation(), store_->AdvanceGeneration()};
+  std::vector<std::pair<uint64_t, uint64_t>> runs;
+  size_t bytes = GraphSnapshot::kChangedRangesPrefixBytes;
+  for (uint64_t i = lo; i < hi; ++i) {
+    if (!changed(i)) continue;
+    const uint64_t start = i;
+    while (i < hi && changed(i)) ++i;
+    runs.emplace_back(start, i);
+    bytes += GraphSnapshot::SerializedRangeSizeFor(store_->params(), start, i);
+  }
+  Status s = begin(bytes);
+  if (!s.ok()) return s;
+  uint8_t prefix[GraphSnapshot::kChangedRangesPrefixBytes];
+  GraphSnapshot::WriteChangedRangesPrefix(now, runs.size(), prefix);
+  s = write(prefix, sizeof(prefix));
+  const RecordWriter records = StoreRecords();
+  for (size_t r = 0; s.ok() && r < runs.size(); ++r) {
+    s = GraphSnapshot::SaveRangeToSink(write, store_->params(), runs[r].first,
+                                       runs[r].second, records);
+  }
+  return s;
 }
 
 Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
@@ -246,15 +283,11 @@ Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
       data, size, store_->params(), &lo, &hi, &payload_offset);
   if (!s.ok()) return s;
   Flush();
-  // The store's MergeDelta is the ingestion-path XOR; a migration delta
-  // folds in exactly like a worker's batch delta.
-  NodeSketch scratch(store_->params());
-  const size_t record = NodeSketch::SerializedSizeFor(store_->params());
+  // The same XOR as a worker's batch delta, straight from the bytes.
   const uint8_t* cursor = data + payload_offset;
   for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    store_->MergeDelta(static_cast<NodeId>(i), scratch);
-    cursor += record;
+    store_->MergeSerializedNode(static_cast<NodeId>(i), cursor);
+    cursor += store_->record_bytes();
   }
   return Status::Ok();
 }
@@ -282,13 +315,8 @@ Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
   // (checkpoints ARE snapshots), but only one record in flight, so a
   // disk-backed store larger than RAM can still checkpoint.
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveStream(
-      path, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveStream(path, store_->params(), num_updates_,
+                                   StoreRecords());
 }
 
 Status GraphZeppelin::LoadCheckpoint(const std::string& path,

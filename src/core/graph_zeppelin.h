@@ -152,6 +152,22 @@ class GraphZeppelin {
       uint64_t lo, uint64_t hi,
       const std::function<Status(const void* data, size_t size)>& write);
 
+  // Changed-only read of nodes [lo, hi), for a reader whose copy of
+  // them stands at `since` (a token an earlier call handed out, or the
+  // zero token). Flushes, then writes a changed-range stream (see
+  // GraphSnapshot) through `write`: one node-range delta per maximal
+  // run of nodes changed after `since`, or one delta for all of
+  // [lo, hi) when `since` belongs to another store (a restarted shard,
+  // another replica). The stream's prefix carries the token the reader
+  // passes next time. `begin` runs once, before the first write, with
+  // the stream's exact byte count, so a shard can frame its reply
+  // without materializing it. Nothing is cleared: any number of readers
+  // keep their own tokens. A bad range is an InvalidArgument.
+  Status WriteChangedNodeRangesTo(
+      uint64_t lo, uint64_t hi, const ChangeToken& since,
+      const std::function<Status(size_t bytes)>& begin,
+      const std::function<Status(const void* data, size_t size)>& write);
+
   // XOR-folds a serialized node-range delta into this instance's sketch
   // store (flushes first so the fold lands on a consistent state). The
   // same call installs migrated state on a successor and cancels it on
@@ -210,6 +226,9 @@ class GraphZeppelin {
 
   // Hands the API-boundary span buffer to the gutters.
   void DrainIngestSpan();
+  // Reads node records straight out of the store, for the streaming
+  // producers (snapshot, checkpoint, range extracts).
+  RecordWriter StoreRecords() const;
 
   GraphZeppelinConfig config_;
   size_t node_sketch_bytes_ = 0;

@@ -10,6 +10,17 @@
 // many Graph Workers; stores lock per node. Following Section 5.1,
 // workers accumulate a batch into a private delta sketch and the store
 // only holds the lock for the XOR merge.
+//
+// Change tracking: sketches are linear, so an update changes only the
+// sketches of the nodes it touches (a toggle of (u, v) changes exactly
+// two). Every mutating call stamps its node with the store's current
+// generation, under the node lock it already takes, so no caller can
+// forget to mark a change. A reader that copied the store at
+// generation g (AdvanceGeneration() returned g, with no writer
+// running) later needs exactly the nodes whose stamp exceeds g.
+// Nothing is ever cleared, so any number of readers stay exact, each
+// keeping its own g. The incarnation, drawn at random when the store
+// is built, tells a reader whether its g refers to this store at all.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -42,15 +53,50 @@ class SketchStore {
   // Used by checkpoint restore.
   virtual void Store(NodeId node, const NodeSketch& sketch) = 0;
 
+  // Byte-level forms for record streams (snapshots, checkpoints,
+  // migration deltas), with no scratch NodeSketch in between:
+  // SerializeNode writes `node`'s record (NodeSketch::SerializeTo
+  // layout, record_bytes() long) to `out`; MergeSerializedNode XORs
+  // such a record into `node`'s sketch.
+  virtual void SerializeNode(NodeId node, uint8_t* out) = 0;
+  virtual void MergeSerializedNode(NodeId node, const uint8_t* record) = 0;
+
+  // The generation `node` last changed at (0 = never since the store
+  // was built).
+  uint64_t stamp(NodeId node) const { return stamps_[node].load(); }
+  uint64_t incarnation() const { return incarnation_; }
+  // Returns the current generation and moves to the next one: a change
+  // made after this call stamps above the returned value. The caller
+  // must hold writers off across the read it pairs this with.
+  uint64_t AdvanceGeneration() { return generation_.fetch_add(1); }
+
   virtual size_t RamByteSize() const = 0;
   virtual size_t DiskByteSize() const = 0;
 
   const NodeSketchParams& params() const { return params_; }
   uint64_t num_nodes() const { return params_.num_nodes; }
+  // Serialized bytes of one node sketch (uniform across nodes).
+  size_t record_bytes() const { return record_bytes_; }
 
  protected:
-  explicit SketchStore(const NodeSketchParams& params) : params_(params) {}
+  // Normalizes `params` (rounds may be auto-filled) and sizes the
+  // change stamps.
+  explicit SketchStore(const NodeSketchParams& params);
+
+  // Records a change to `node`; call under the node's lock.
+  void Stamp(NodeId node) { stamps_[node].store(generation_.load()); }
+  // The stamps' share of RamByteSize().
+  size_t StampBytes() const {
+    return params_.num_nodes * sizeof(std::atomic<uint64_t>);
+  }
+
   NodeSketchParams params_;
+  size_t record_bytes_ = 0;
+
+ private:
+  std::unique_ptr<std::atomic<uint64_t>[]> stamps_;
+  std::atomic<uint64_t> generation_{1};
+  const uint64_t incarnation_;
 };
 
 class InMemorySketchStore : public SketchStore {
@@ -60,6 +106,8 @@ class InMemorySketchStore : public SketchStore {
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
+  void SerializeNode(NodeId node, uint8_t* out) override;
+  void MergeSerializedNode(NodeId node, const uint8_t* record) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
 
@@ -81,6 +129,8 @@ class OnDiskSketchStore : public SketchStore {
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
+  void SerializeNode(NodeId node, uint8_t* out) override;
+  void MergeSerializedNode(NodeId node, const uint8_t* record) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override;
 
@@ -88,9 +138,11 @@ class OnDiskSketchStore : public SketchStore {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  // The read-XOR-write cycle of one record; caller holds the node lock.
+  void XorIntoRecord(NodeId node, const uint8_t* record);
+
   std::string path_;
   int fd_ = -1;
-  size_t record_bytes_ = 0;  // Serialized node-sketch size (uniform).
   std::unique_ptr<std::mutex[]> locks_;
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};

@@ -26,27 +26,42 @@ std::vector<int> SnapshotCache::PlannedPulls(
   return pulls;
 }
 
+ChangeToken SnapshotCache::change_token(int shard) const {
+  const auto it = retained_.find(shard);
+  return valid() && it != retained_.end() ? it->second.token : ChangeToken{};
+}
+
 Status SnapshotCache::PullShard(int shard, const NodeSketchParams& params,
                                 const RangePuller& puller) {
-  GraphSnapshot& content = shard_content_.at(shard);
+  RetainedShard& retained = retained_.at(shard);
+  const ChangeToken since = retained.token;
   const uint64_t num_nodes = params.num_nodes;
   const uint64_t step =
       nodes_per_chunk_ == 0 ? num_nodes : nodes_per_chunk_;
   std::vector<uint8_t>& fresh = pull_buf_;
+  ChangeToken kept;
   for (uint64_t lo = 0; lo < num_nodes; lo += step) {
     const uint64_t hi = std::min(num_nodes, lo + step);
     fresh.clear();
-    Status s = puller(shard, lo, hi, &fresh);
+    Status s = puller(shard, lo, hi, since, &fresh);
     if (!s.ok()) return s;
     ++range_pulls_;
-    // The transition old -> new in one pass per record: the merged
-    // snapshot drops the old chunk and gains the new one
+    pulled_bytes_ += fresh.size();
+    // The transition old -> new in one pass per changed record: the
+    // merged snapshot drops the old record and gains the new one
     // (merged ^= old ^ fresh), and the retained content becomes the
-    // fresh chunk.
-    s = content.ReplaceSerializedNodeRange(fresh.data(), fresh.size(),
-                                           &merged_);
+    // fresh record.
+    ChangeToken now;
+    s = retained.content.ReplaceChangedNodeRanges(fresh.data(), fresh.size(),
+                                                  &merged_, &now);
     if (!s.ok()) return s;
+    if (lo == 0) {
+      kept = now;
+    } else if (now.incarnation != kept.incarnation) {
+      kept = ChangeToken{};
+    }
   }
+  retained.token = kept;
   return Status::Ok();
 }
 
@@ -72,27 +87,28 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
   // survivors, whose watermarks moved): the shard's true final state is
   // zero, so one more fold of its last-known content cancels it out of
   // the merged snapshot.
-  for (auto it = shard_content_.begin(); it != shard_content_.end();) {
+  for (auto it = retained_.begin(); it != retained_.end();) {
     if (marks.count(it->first) > 0) {
       ++it;
       continue;
     }
-    const Status s = merged_.Merge(it->second);
+    const Status s = merged_.Merge(it->second.content);
     if (!s.ok()) {
       Invalidate();
       return s;
     }
-    it = shard_content_.erase(it);
+    it = retained_.erase(it);
   }
   // New and moved shards, pulled exactly when the shared NeedsPull
   // predicate says so — the same predicate PlannedPulls() consulted, so
   // a pre-staging caller's plan always matches the pulls made here. A
   // shard whose watermark is unchanged is skipped outright (its sketch
   // content cannot have changed); a brand-new shard at the zero
-  // watermark is installed as the XOR identity without a pull.
+  // watermark is installed as the XOR identity (zero token) without a
+  // pull.
   for (const auto& [shard, mark] : marks) {
-    if (shard_content_.find(shard) == shard_content_.end()) {
-      shard_content_.emplace(shard, ZeroSnapshot(params));
+    if (retained_.find(shard) == retained_.end()) {
+      retained_.emplace(shard, RetainedShard{ZeroSnapshot(params), {}});
     }
     if (!NeedsPull(shard, mark)) continue;
     const Status s = PullShard(shard, params, puller);
@@ -111,7 +127,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
 
 void SnapshotCache::Invalidate() {
   merged_ = GraphSnapshot();
-  shard_content_.clear();
+  retained_.clear();
   marks_.clear();
   epoch_ = 0;
 }

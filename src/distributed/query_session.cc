@@ -201,10 +201,11 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
 }
 
 Status QuerySession::PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                               std::vector<uint8_t>* delta) {
-  const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
+                               const ChangeToken& since,
+                               std::vector<uint8_t>* changed) {
+  const std::vector<uint8_t> req = EncodeExtractChanged(lo, hi, since);
   Status s = SendFrame(conns_[conn]->fd(),
-                       ShardMessageType::kMigrateExtract, req.data(),
+                       ShardMessageType::kExtractChanged, req.data(),
                        req.size());
   if (!s.ok()) {
     conn_alive_[conn] = false;
@@ -212,7 +213,7 @@ Status QuerySession::PullRange(size_t conn, uint64_t lo, uint64_t hi,
     return s;
   }
   bool in_sync = false;
-  s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
+  s = RecvReply(conns_[conn]->fd(), ShardMessageType::kChangedData,
                 &reply_buf_, &in_sync);
   if (!s.ok()) {
     if (!in_sync) {
@@ -221,7 +222,7 @@ Status QuerySession::PullRange(size_t conn, uint64_t lo, uint64_t hi,
     }
     return s;
   }
-  *delta = std::move(reply_buf_.payload);
+  *changed = std::move(reply_buf_.payload);
   return Status::Ok();
 }
 
@@ -259,8 +260,15 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     // check meaningful — a pull after the check would be unverified.)
     // Each chunk comes from any live replica of its shard: replicas
     // are bitwise-equal at the position t0 == t1 certifies, so the
-    // pull fails over past a replica that dies mid-stage.
-    std::map<std::pair<int, uint64_t>, std::vector<uint8_t>> staged;
+    // pull fails over past a replica that dies mid-stage. Pulls carry
+    // the cache's change token for the shard; the token inside each
+    // staged stream enters the cache only through Refresh below, i.e.
+    // only when the install succeeds.
+    struct Staged {
+      ChangeToken since;
+      std::vector<uint8_t> changed;
+    };
+    std::map<std::pair<int, uint64_t>, Staged> staged;
     bool stage_error = false;
     for (const int shard : cache_.PlannedPulls(view.epoch, view.marks)) {
       const auto group = view.groups.find(shard);
@@ -270,6 +278,7 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
       const uint64_t step = options_.nodes_per_chunk == 0
                                 ? view.params.num_nodes
                                 : options_.nodes_per_chunk;
+      const ChangeToken since = cache_.change_token(shard);
       for (uint64_t lo = 0; lo < view.params.num_nodes && !stage_error;
            lo += step) {
         const uint64_t hi =
@@ -278,7 +287,9 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
         bool pulled = false;
         for (const size_t conn : group->second) {
           if (!conn_alive_[conn]) continue;
-          s = PullRange(conn, lo, hi, &staged[{shard, lo}]);
+          Staged& stage = staged[{shard, lo}];
+          stage.since = since;
+          s = PullRange(conn, lo, hi, since, &stage.changed);
           if (s.ok()) {
             pulled = true;
             break;
@@ -309,17 +320,18 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     s = cache_.Refresh(
         view.epoch, view.marks, view.total_updates, view.params,
         [&staged](int shard, uint64_t lo, uint64_t hi,
-                  std::vector<uint8_t>* delta) {
+                  const ChangeToken& since, std::vector<uint8_t>* changed) {
           (void)hi;
           auto it = staged.find({shard, lo});
-          if (it == staged.end()) {
-            // A cold rebuild wanted a chunk the plan did not stage
-            // (cache was valid, then a geometry-level invalidation
-            // struck mid-round). Refresh invalidates on this error, so
-            // the NEXT round plans — and stages — every shard.
+          if (it == staged.end() || !(it->second.since == since)) {
+            // A cold rebuild wanted a chunk the plan did not stage, or
+            // relative to another token than the staged one (cache was
+            // valid, then a geometry-level invalidation struck
+            // mid-round). Refresh invalidates on this error, so the
+            // NEXT round plans — and stages — every shard in full.
             return Status::Internal("refresh chunk was not pre-staged");
           }
-          *delta = std::move(it->second);
+          *changed = std::move(it->second.changed);
           return Status::Ok();
         });
     if (!s.ok()) {

@@ -205,10 +205,11 @@ class QuerySession {
   // (or was never learned) surfaces the saved transport error.
   Status BuildView(const std::vector<ShardStatsEx>& stats,
                    PositionView* view);
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from conns_[i];
-  // marks the connection dead on transport failure.
+  // kExtractChanged -> kChangedData pull of the changes to [lo, hi)
+  // since `since` from conns_[i]; marks the connection dead on
+  // transport failure.
   Status PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                   std::vector<uint8_t>* delta);
+                   const ChangeToken& since, std::vector<uint8_t>* changed);
 
   // Dials every endpoint as an extra reader session and converts each
   // into a kSubscribe notify stream. Failures drop the stream, never

@@ -1066,11 +1066,11 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
 
 // ---- Replication -----------------------------------------------------------
 
-Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
-                                  uint64_t hi, std::vector<uint8_t>* bytes) {
-  const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
-  Status s = SendFrame(procs_[shard][replica]->fd(),
-                       ShardMessageType::kMigrateExtract, req.data(),
+Status ShardCluster::Pull(int shard, int replica, ShardMessageType request,
+                          const std::vector<uint8_t>& req,
+                          ShardMessageType reply,
+                          std::vector<uint8_t>* bytes) {
+  Status s = SendFrame(procs_[shard][replica]->fd(), request, req.data(),
                        req.size());
   if (!s.ok()) {
     down_[shard][replica] = true;
@@ -1081,14 +1081,20 @@ Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
   // steady-state pull allocates and faults in nothing).
   bool in_sync = false;
   reply_buf_.payload.swap(*bytes);
-  s = RecvReply(procs_[shard][replica]->fd(),
-                ShardMessageType::kMigrateData, &reply_buf_, &in_sync);
+  s = RecvReply(procs_[shard][replica]->fd(), reply, &reply_buf_, &in_sync);
   reply_buf_.payload.swap(*bytes);
   if (!s.ok()) {
     if (!in_sync) down_[shard][replica] = true;
     return s;
   }
   return Status::Ok();
+}
+
+Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
+                                  uint64_t hi, std::vector<uint8_t>* bytes) {
+  return Pull(shard, replica, ShardMessageType::kMigrateExtract,
+              EncodeMigrateExtract(lo, hi), ShardMessageType::kMigrateData,
+              bytes);
 }
 
 Status ShardCluster::CheckpointReplica(int shard, int replica) {
@@ -1298,15 +1304,16 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
     total_updates += mark.num_updates;
   }
   if (!cache_.Fresh(table_.epoch, marks)) {
-    // The puller is the read-only extract RPC migration already uses;
-    // FIFO ordering means the extracted bytes cover every frame sent
-    // before the pull, i.e. exactly the watermark the key promises.
-    // Any live replica serves — all of them are bitwise-equal at the
-    // keyed position — so the pull fails over past dead ones.
+    // The puller is the read-only changed-only extract; FIFO ordering
+    // means the extracted bytes cover every frame sent before the
+    // pull, i.e. exactly the watermark the key promises. Any live
+    // replica serves — all of them are bitwise-equal at the keyed
+    // position — so the pull fails over past dead ones (another
+    // replica is another store, so its answer is a full one).
     const Status s = cache_.Refresh(
         table_.epoch, marks, total_updates, SketchParams(),
-        [this](int shard, uint64_t lo, uint64_t hi,
-               std::vector<uint8_t>* delta) {
+        [this](int shard, uint64_t lo, uint64_t hi, const ChangeToken& since,
+               std::vector<uint8_t>* changed) {
           if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {
             return Status::FailedPrecondition(
                 "snapshot-cache refresh needs shard " +
@@ -1316,7 +1323,9 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
           Status st = Status::Ok();
           for (int r = 0; r < replication_; ++r) {
             if (down_[shard][r]) continue;
-            st = ExtractRange(shard, r, lo, hi, delta);
+            st = Pull(shard, r, ShardMessageType::kExtractChanged,
+                      EncodeExtractChanged(lo, hi, since),
+                      ShardMessageType::kChangedData, changed);
             if (st.ok()) return st;  // Fenced on failure; try the next.
           }
           return st;

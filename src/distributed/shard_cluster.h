@@ -267,9 +267,10 @@ class ShardCluster {
   // --- Serving tier ----------------------------------------------------------
   // Like Snapshot(), but answered from the epoch/watermark-keyed
   // SnapshotCache: O(1) — zero RPCs — while the cluster position is
-  // unchanged since the last call, and node-delta pulls from ONLY the
-  // shards whose watermark moved otherwise (a reshard refreshes by
-  // pulling the moved shards, never a full re-fold). Bitwise identical
+  // unchanged since the last call, and changed-only pulls from ONLY
+  // the shards whose watermark moved otherwise: the node records that
+  // changed since the cache's last pull of that shard (a reshard
+  // refreshes by pulling the moved ranges, never a full re-fold). Bitwise identical
   // to Snapshot() at the same (epoch, watermarks) position — enforced
   // by tests. *out stays valid until the next CachedSnapshot() call or
   // cluster mutation. Watermarks come from the coordinator's own
@@ -388,8 +389,13 @@ class ShardCluster {
   Status RequireAllHealthy();
   // One STATS_EX round trip to one replica; fences it on failure.
   Status ReplicaStatsEx(int shard, int replica, ShardStatsEx* ex);
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica;
-  // fences it on failure. Read-only on the shard.
+  // Read-only pull from one replica: `request` with payload `req`,
+  // answered by a `reply` frame whose payload lands in *bytes (capacity
+  // reused). Fences the replica on failure.
+  Status Pull(int shard, int replica, ShardMessageType request,
+              const std::vector<uint8_t>& req, ShardMessageType reply,
+              std::vector<uint8_t>* bytes);
+  // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica.
   Status ExtractRange(int shard, int replica, uint64_t lo, uint64_t hi,
                       std::vector<uint8_t>* bytes);
   // Per-replica kCheckpoint RPC, committing the coordinator's books for

@@ -53,7 +53,7 @@ Status DecodeHeader(const uint8_t in[ShardFrameHeader::kBytes],
         std::to_string(ShardFrameHeader::kVersion) + ")");
   }
   if (type16 < static_cast<uint16_t>(ShardMessageType::kConfig) ||
-      type16 > static_cast<uint16_t>(ShardMessageType::kHeavyHitterBytes)) {
+      type16 > static_cast<uint16_t>(ShardMessageType::kChangedData)) {
     return Status::InvalidArgument("shard frame: unknown message type " +
                                    std::to_string(type16));
   }
@@ -739,6 +739,26 @@ Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
   ByteReader r(data, size);
   if (!r.U64(lo) || !r.U64(hi) || !r.Done()) {
     return Status::InvalidArgument("malformed migrate-extract payload");
+  }
+  return Status::Ok();
+}
+
+std::vector<uint8_t> EncodeExtractChanged(uint64_t lo, uint64_t hi,
+                                          const ChangeToken& since) {
+  ByteWriter w;
+  w.U64(lo);
+  w.U64(hi);
+  w.U64(since.incarnation);
+  w.U64(since.generation);
+  return w.Take();
+}
+
+Status DecodeExtractChanged(const uint8_t* data, size_t size, uint64_t* lo,
+                            uint64_t* hi, ChangeToken* since) {
+  ByteReader r(data, size);
+  if (!r.U64(lo) || !r.U64(hi) || !r.U64(&since->incarnation) ||
+      !r.U64(&since->generation) || !r.Done()) {
+    return Status::InvalidArgument("malformed extract-changed payload");
   }
   return Status::Ok();
 }

@@ -115,6 +115,16 @@ enum class ShardMessageType : uint16_t {
                            // Serialize payload. Linear, so the
                            // coordinator sum-merges per-shard replies
                            // into the exact whole-stream sketch.
+  // Changed-only pulls (any session -> shard).
+  kExtractChanged = 26,  // Four u64s {lo, hi, since.incarnation,
+                         // since.generation}: the changes to node range
+                         // [lo, hi) since the change token `since`
+                         // (GraphZeppelin::WriteChangedNodeRangesTo;
+                         // a token of another store, or the zero
+                         // token, gets every node). Reply: kChangedData.
+  kChangedData = 27,     // Shard -> client: a changed-range stream —
+                         // {incarnation, generation, record count} then
+                         // that many node-range deltas.
 };
 
 // Session role, declared in the HELLO frame and bound into the
@@ -122,7 +132,8 @@ enum class ShardMessageType : uint16_t {
 // byte fails authentication rather than silently escalating). A writer
 // session is the coordinator: full protocol, its disconnect discards
 // the shard instance. A reader session may only observe — kPing /
-// kStats / kStatsEx / kSnapshot / kMigrateExtract — and its disconnect
+// kStats / kStatsEx / kSnapshot / kMigrateExtract / kExtractChanged /
+// kHeavyHitters — and its disconnect
 // never touches the instance.
 enum class ShardSessionRole : uint8_t {
   kWriter = 0,
@@ -200,7 +211,8 @@ Status RecvFrame(int fd, ShardFrame* frame);
 Status RecvFrameCapped(int fd, ShardFrame* frame, uint64_t max_payload);
 
 // The reader-session receive cap: every read-only request (PING,
-// STATS, STATS_EX, SNAPSHOT, MIGRATE_EXTRACT) fits with room to spare.
+// STATS, STATS_EX, SNAPSHOT, MIGRATE_EXTRACT, EXTRACT_CHANGED) fits
+// with room to spare.
 constexpr uint64_t kReaderMaxRequestBytes = 4096;
 
 // Receives one *reply* frame and classifies it — the one reply-handling
@@ -371,6 +383,13 @@ Status DecodeShardError(const uint8_t* data, size_t size, bool* decode_ok);
 std::vector<uint8_t> EncodeMigrateExtract(uint64_t lo, uint64_t hi);
 Status DecodeMigrateExtract(const uint8_t* data, size_t size, uint64_t* lo,
                             uint64_t* hi);
+
+// kExtractChanged payload: the node range [lo, hi) and the caller's
+// change token.
+std::vector<uint8_t> EncodeExtractChanged(uint64_t lo, uint64_t hi,
+                                          const ChangeToken& since);
+Status DecodeExtractChanged(const uint8_t* data, size_t size, uint64_t* lo,
+                            uint64_t* hi, ChangeToken* since);
 
 // kSyncPosition payload: the coordinator-asserted logical position
 // {num_updates, delta_seq} a repaired replica must report from now on.

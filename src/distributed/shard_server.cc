@@ -289,6 +289,32 @@ Status ShardServer::HandleMigrateExtract(const ShardFrame& frame) {
   return SendFrameTrailer(fd_, crc);
 }
 
+Status ShardServer::HandleExtractChanged(const ShardFrame& frame) {
+  uint64_t lo = 0, hi = 0;
+  ChangeToken since;
+  Status s = DecodeExtractChanged(frame.payload.data(), frame.payload.size(),
+                                  &lo, &hi, &since);
+  if (!s.ok()) return ReplyError(s);
+  // Streamed like kMigrateExtract: the reply's length is known once the
+  // changed runs are, before the first record is read. A failure before
+  // the frame header went out (a bad range) is a clean kError.
+  FrameCrc crc;
+  bool framed = false;
+  s = state_->gz->WriteChangedNodeRangesTo(
+      lo, hi, since,
+      [this, &crc, &framed](size_t bytes) {
+        framed = true;
+        return SendFrameHeader(fd_, ShardMessageType::kChangedData, bytes,
+                               &crc);
+      },
+      [this, &crc](const void* data, size_t size) {
+        crc.Fold(data, size);
+        return WriteFull(fd_, data, size);
+      });
+  if (!s.ok()) return framed ? s : ReplyError(s);
+  return SendFrameTrailer(fd_, crc);
+}
+
 Status ShardServer::HandleMergeDelta(const ShardFrame& frame) {
   Status s = state_->gz->MergeSerializedNodeRange(frame.payload.data(),
                                                   frame.payload.size());
@@ -348,6 +374,7 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
         frame.type != ShardMessageType::kStatsEx &&
         frame.type != ShardMessageType::kSnapshot &&
         frame.type != ShardMessageType::kMigrateExtract &&
+        frame.type != ShardMessageType::kExtractChanged &&
         frame.type != ShardMessageType::kHeavyHitters) {
       // The read-only contract: a reader cannot configure, ingest,
       // migrate state in, checkpoint, or retire the shard. The session
@@ -433,6 +460,34 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
             fail(s);
           } else {
             reply_type = ShardMessageType::kMigrateData;
+            reply = std::move(bytes);
+          }
+          break;
+        }
+        case ShardMessageType::kExtractChanged: {
+          uint64_t lo = 0, hi = 0;
+          ChangeToken since;
+          Status s = DecodeExtractChanged(frame.payload.data(),
+                                          frame.payload.size(), &lo, &hi,
+                                          &since);
+          std::vector<uint8_t> bytes;
+          if (s.ok()) {
+            s = state_->gz->WriteChangedNodeRangesTo(
+                lo, hi, since,
+                [&bytes](size_t size) {
+                  bytes.reserve(size);
+                  return Status::Ok();
+                },
+                [&bytes](const void* data, size_t size) {
+                  const uint8_t* p = static_cast<const uint8_t*>(data);
+                  bytes.insert(bytes.end(), p, p + size);
+                  return Status::Ok();
+                });
+          }
+          if (!s.ok()) {
+            fail(s);
+          } else {
+            reply_type = ShardMessageType::kChangedData;
             reply = std::move(bytes);
           }
           break;
@@ -630,6 +685,7 @@ Status ShardServer::Serve() {
          frame.type == ShardMessageType::kStatsEx ||
          frame.type == ShardMessageType::kEpoch ||
          frame.type == ShardMessageType::kMigrateExtract ||
+         frame.type == ShardMessageType::kExtractChanged ||
          frame.type == ShardMessageType::kMergeDelta ||
          frame.type == ShardMessageType::kSyncPosition ||
          frame.type == ShardMessageType::kHeavyHitters)) {
@@ -669,6 +725,9 @@ Status ShardServer::Serve() {
         break;
       case ShardMessageType::kMigrateExtract:
         s = HandleMigrateExtract(frame);
+        break;
+      case ShardMessageType::kExtractChanged:
+        s = HandleExtractChanged(frame);
         break;
       case ShardMessageType::kMergeDelta:
         s = HandleMergeDelta(frame);

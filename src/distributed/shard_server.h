@@ -147,6 +147,7 @@ class ShardServer {
   Status HandleCheckpoint(const ShardFrame& frame);
   Status HandleEpoch(const ShardFrame& frame);
   Status HandleMigrateExtract(const ShardFrame& frame);
+  Status HandleExtractChanged(const ShardFrame& frame);
   Status HandleMergeDelta(const ShardFrame& frame);
   Status HandleSyncPosition(const ShardFrame& frame);
   Status HandleStatsEx();

@@ -237,15 +237,17 @@ Status ShardedGraphZeppelin::CachedSnapshot(const GraphSnapshot** out) {
     params.rounds = base_.rounds;
     const Status s = cache_.Refresh(
         table_.epoch, marks, total_updates, params,
-        [this](int shard, uint64_t lo, uint64_t hi,
-               std::vector<uint8_t>* delta) {
-          delta->clear();
-          delta->reserve(GraphSnapshot::SerializedRangeSizeFor(
-              shards_[shard]->sketch_params(), lo, hi));
-          return shards_[shard]->WriteNodeRangeTo(
-              lo, hi, [delta](const void* data, size_t size) {
+        [this](int shard, uint64_t lo, uint64_t hi, const ChangeToken& since,
+               std::vector<uint8_t>* changed) {
+          return shards_[shard]->WriteChangedNodeRangesTo(
+              lo, hi, since,
+              [changed](size_t bytes) {
+                changed->reserve(bytes);
+                return Status::Ok();
+              },
+              [changed](const void* data, size_t size) {
                 const uint8_t* p = static_cast<const uint8_t*>(data);
-                delta->insert(delta->end(), p, p + size);
+                changed->insert(changed->end(), p, p + size);
                 return Status::Ok();
               });
         });

@@ -2,11 +2,15 @@
 // buffering x storage configurations.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 #include <tuple>
 
 #include "baseline/matrix_checker.h"
 #include "core/graph_zeppelin.h"
+#include "util/check.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
 
@@ -122,6 +126,174 @@ TEST_P(GraphZeppelinConfigTest, RandomStreamMatchesExactChecker) {
     }
   }
   EXPECT_EQ(gz.num_updates_ingested(), stream.updates.size());
+}
+
+// A changed-only read through WriteChangedNodeRangesTo, collected into
+// one buffer; `*begun` receives the byte count announced up front.
+std::vector<uint8_t> ChangedSince(GraphZeppelin& gz, uint64_t lo,
+                                  uint64_t hi, const ChangeToken& since,
+                                  size_t* begun = nullptr) {
+  std::vector<uint8_t> out;
+  GZ_CHECK_OK(gz.WriteChangedNodeRangesTo(
+      lo, hi, since,
+      [begun](size_t bytes) {
+        if (begun != nullptr) *begun = bytes;
+        return Status::Ok();
+      },
+      [&out](const void* data, size_t size) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        out.insert(out.end(), p, p + size);
+        return Status::Ok();
+      }));
+  return out;
+}
+
+// The [lo, hi) runs a changed-range stream carries, in order.
+std::vector<std::pair<uint64_t, uint64_t>> RunsOf(
+    const std::vector<uint8_t>& stream, const NodeSketchParams& params) {
+  uint64_t count = 0;
+  std::memcpy(&count, stream.data() + 16, 8);
+  std::vector<std::pair<uint64_t, uint64_t>> runs;
+  const size_t header = GraphSnapshot::SerializedRangeSizeFor(params, 0, 1) -
+                        NodeSketch::SerializedSizeFor(params);
+  size_t at = GraphSnapshot::kChangedRangesPrefixBytes;
+  for (uint64_t r = 0; r < count; ++r) {
+    uint64_t lo = 0, hi = 0;
+    std::memcpy(&lo, stream.data() + at + header - 16, 8);
+    std::memcpy(&hi, stream.data() + at + header - 8, 8);
+    runs.emplace_back(lo, hi);
+    at += GraphSnapshot::SerializedRangeSizeFor(params, lo, hi);
+  }
+  EXPECT_EQ(at, stream.size());
+  return runs;
+}
+
+// One reader of a GraphZeppelin's changes: retained content plus the
+// token of its last read, refreshed the way the snapshot cache does it.
+struct ChangeReader {
+  explicit ChangeReader(const NodeSketchParams& params)
+      : content(std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)),
+                0),
+        sum(content) {}
+  std::vector<std::pair<uint64_t, uint64_t>> Read(GraphZeppelin& gz) {
+    const std::vector<uint8_t> stream =
+        ChangedSince(gz, 0, gz.config().num_nodes, token);
+    GZ_CHECK_OK(content.ReplaceChangedNodeRanges(stream.data(),
+                                                 stream.size(), &sum, &token));
+    return RunsOf(stream, gz.sketch_params());
+  }
+  GraphSnapshot content;
+  GraphSnapshot sum;  // Unused fold target.
+  ChangeToken token;
+};
+
+TEST_P(GraphZeppelinConfigTest, ChangedReadsTrackEveryMutationPath) {
+  // Two readers with their own tokens, interleaved over ingest (the
+  // workers' stamps), a migration-style range fold and a snapshot load:
+  // after every read the reader's content equals the instance's state
+  // bitwise, and a one-edge toggle costs exactly its two endpoints.
+  const auto [buffering, storage] = GetParam();
+  const uint64_t n = 48;
+  GraphZeppelin gz(MakeConfig(n, 17, buffering, storage));
+  ASSERT_TRUE(gz.Init().ok());
+  ChangeReader a(gz.sketch_params()), b(gz.sketch_params());
+  const auto exact = [&](const ChangeReader& r) {
+    GraphSnapshot want = gz.Snapshot();
+    want.SetUpdates(0);
+    return r.content == want;
+  };
+  // From the zero token a read is a full read: one run, every node.
+  EXPECT_EQ(a.Read(gz), (std::vector<std::pair<uint64_t, uint64_t>>{{0, n}}));
+  for (NodeId i = 0; i + 1 < n; i += 2) {
+    gz.Update({Edge(i, i + 1), UpdateType::kInsert});
+  }
+  EXPECT_FALSE(a.Read(gz).empty());
+  EXPECT_TRUE(exact(a));
+
+  gz.Update({Edge(3, 30), UpdateType::kInsert});
+  EXPECT_EQ(a.Read(gz),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{3, 4}, {30, 31}}));
+  EXPECT_TRUE(exact(a));
+  EXPECT_TRUE(a.Read(gz).empty()) << "nothing changed since the last read";
+
+  // Reader b has never read: it gets everything, and its read clears
+  // nothing a's next read needs.
+  gz.Update({Edge(5, 40), UpdateType::kDelete});
+  b.Read(gz);
+  EXPECT_TRUE(exact(b));
+  EXPECT_EQ(a.Read(gz),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{5, 6}, {40, 41}}));
+  EXPECT_TRUE(exact(a));
+
+  // Migration-style fold of another instance's range: stamps too.
+  {
+    GraphZeppelin twin(MakeConfig(n, 17, buffering, storage));
+    ASSERT_TRUE(twin.Init().ok());
+    twin.Update({Edge(10, 12), UpdateType::kInsert});
+    std::vector<uint8_t> delta;
+    ASSERT_TRUE(twin.WriteNodeRangeTo(10, 13,
+                                      [&delta](const void* data, size_t size) {
+                                        const uint8_t* p =
+                                            static_cast<const uint8_t*>(data);
+                                        delta.insert(delta.end(), p, p + size);
+                                        return Status::Ok();
+                                      })
+                    .ok());
+    ASSERT_TRUE(gz.MergeSerializedNodeRange(delta.data(), delta.size()).ok());
+  }
+  EXPECT_EQ(a.Read(gz), (std::vector<std::pair<uint64_t, uint64_t>>{{10, 13}}));
+  EXPECT_TRUE(exact(a));
+  EXPECT_EQ(b.Read(gz), (std::vector<std::pair<uint64_t, uint64_t>>{{10, 13}}));
+  EXPECT_TRUE(exact(b));
+
+  // A snapshot load overwrites every node: every node is stamped.
+  {
+    GraphSnapshot snap = gz.Snapshot();
+    ASSERT_TRUE(gz.LoadSnapshot(snap).ok());
+  }
+  EXPECT_EQ(a.Read(gz), (std::vector<std::pair<uint64_t, uint64_t>>{{0, n}}));
+  EXPECT_TRUE(exact(a));
+}
+
+TEST_P(GraphZeppelinConfigTest, ChangedReadFramingAndForeignTokens) {
+  const auto [buffering, storage] = GetParam();
+  const uint64_t n = 20;
+  GraphZeppelin gz(MakeConfig(n, 19, buffering, storage));
+  ASSERT_TRUE(gz.Init().ok());
+  gz.Update({Edge(2, 9), UpdateType::kInsert});
+  // `begin` announces the exact stream length before the first write,
+  // and the stream's token names this store.
+  size_t begun = 0;
+  const std::vector<uint8_t> full = ChangedSince(gz, 4, 11, {}, &begun);
+  EXPECT_EQ(begun, full.size());
+  EXPECT_EQ(RunsOf(full, gz.sketch_params()),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{4, 11}}));
+  ChangeToken token;
+  std::memcpy(&token.incarnation, full.data(), 8);
+  std::memcpy(&token.generation, full.data() + 8, 8);
+  EXPECT_NE(token.incarnation, 0u);
+  // A sub-range read reports only that range's changes.
+  gz.Update({Edge(2, 9), UpdateType::kDelete});
+  EXPECT_EQ(RunsOf(ChangedSince(gz, 4, 11, token), gz.sketch_params()),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{9, 10}}));
+  // A token of another store (same generation, other incarnation)
+  // matches nothing: every node of the range comes back.
+  ChangeToken foreign = token;
+  foreign.incarnation ^= 1;
+  EXPECT_EQ(RunsOf(ChangedSince(gz, 0, n, foreign), gz.sketch_params()),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{0, n}}));
+  // A bad range is an error before anything is written.
+  bool began = false;
+  const auto begin = [&began](size_t) {
+    began = true;
+    return Status::Ok();
+  };
+  const auto sink = [](const void*, size_t) { return Status::Ok(); };
+  EXPECT_EQ(gz.WriteChangedNodeRangesTo(5, 5, token, begin, sink).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(gz.WriteChangedNodeRangesTo(0, n + 1, token, begin, sink).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(began);
 }
 
 INSTANTIATE_TEST_SUITE_P(

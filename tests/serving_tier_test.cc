@@ -222,6 +222,114 @@ TEST(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+// ---- Changed-only refresh ---------------------------------------------------
+
+// The coordinator's cached snapshot against a fresh full fold.
+void ExpectCachedExact(ShardCluster& cluster, const std::string& step) {
+  const GraphSnapshot* cached = nullptr;
+  const Status s = cluster.CachedSnapshot(&cached);
+  ASSERT_TRUE(s.ok()) << step << ": " << s.ToString();
+  Result<GraphSnapshot> full = cluster.Snapshot();
+  ASSERT_TRUE(full.ok()) << step << ": " << full.status().ToString();
+  EXPECT_TRUE(*cached == full.value()) << step;
+}
+
+TEST(ServingTierChangedPullTest, ClusterRefreshIsExactThroughEveryTransition) {
+  // Per-node change stamps let a refresh pull only the node records
+  // that changed. After each transition that moves shard content — a
+  // one-edge toggle, bulk ingest, a live split chunk, a replica
+  // failover, a reconcile repair, a shard restart — the cached snapshot
+  // must still equal a full refold bitwise.
+  ShardClusterOptions options;
+  options.migrate_nodes_per_chunk = kChunk;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(131), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(131);
+  const size_t half = updates.size() / 2;
+  ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
+  ASSERT_TRUE(cluster.Checkpoint().ok());
+  ExpectCachedExact(cluster, "cold build");
+
+  // One toggle moves one shard: one pull per chunk of it, carrying the
+  // records of the edge's two endpoints and nothing else.
+  const Edge probe(5, 50);
+  const NodeSketchParams params = cluster.Snapshot().value().params();
+  const size_t toggle_bytes =
+      kChunksPerShard * GraphSnapshot::kChangedRangesPrefixBytes +
+      GraphSnapshot::SerializedRangeSizeFor(params, 5, 6) +
+      GraphSnapshot::SerializedRangeSizeFor(params, 50, 51);
+  const auto toggle = [&](UpdateType type) {
+    const GraphUpdate u{probe, type};
+    ASSERT_TRUE(cluster.Update(&u, 1).ok());
+  };
+  for (const UpdateType type : {UpdateType::kInsert, UpdateType::kDelete}) {
+    toggle(type);
+    const uint64_t pulls = cluster.snapshot_cache().range_pulls();
+    const uint64_t bytes = cluster.snapshot_cache().pulled_bytes();
+    ExpectCachedExact(cluster, "one-edge toggle");
+    EXPECT_EQ(cluster.snapshot_cache().range_pulls() - pulls,
+              kChunksPerShard);
+    EXPECT_EQ(cluster.snapshot_cache().pulled_bytes() - bytes, toggle_bytes);
+  }
+
+  ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
+                  .ok());
+  ExpectCachedExact(cluster, "bulk ingest");
+
+  // A live split: each pump step folds a chunk into the new shard and
+  // cancels it on the source; both are stamped, both are refreshed.
+  Result<int> target = cluster.BeginSplitShard(0);
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  ASSERT_TRUE(cluster.PumpMigration().ok());
+  ExpectCachedExact(cluster, "split, first chunk");
+  while (cluster.migration_active()) {
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+  }
+  ExpectCachedExact(cluster, "split, done");
+  toggle(UpdateType::kInsert);
+  ExpectCachedExact(cluster, "toggle after split");
+
+  // Failover at R=2: replica 0 of every shard dies; pulls move to
+  // replica 1, another store, so they are full pulls — and exact.
+  for (const int shard : cluster.ActiveShards()) {
+    cluster.KillReplica(shard, 0);
+  }
+  toggle(UpdateType::kDelete);
+  ExpectCachedExact(cluster, "replica failover");
+
+  // Reconcile respawns the dead replicas empty and repairs them; pulls
+  // return to replica 0 (a new store again).
+  ASSERT_TRUE(cluster.Reconcile().ok());
+  toggle(UpdateType::kInsert);
+  ExpectCachedExact(cluster, "reconcile rejoin");
+
+  // A replica diverges silently (the replica the cache pulls from),
+  // and reconcile repairs it: the repair stamps what it fixes, so the
+  // next changed-only pull carries the repaired records.
+  {
+    GraphZeppelin rogue(BaseConfig(131));
+    ASSERT_TRUE(rogue.Init().ok());
+    rogue.Update({Edge(7, 70), UpdateType::kInsert});
+    const std::vector<uint8_t> delta =
+        rogue.Snapshot().ExtractNodeRange(0, kNumNodes);
+    ASSERT_TRUE(cluster.CorruptReplicaForTest(0, 0, delta).ok());
+  }
+  uint64_t repaired = 0;
+  ASSERT_TRUE(cluster.Reconcile(&repaired).ok());
+  EXPECT_GT(repaired, 0u);
+  toggle(UpdateType::kDelete);
+  ExpectCachedExact(cluster, "reconcile repair");
+
+  // A restarted shard is a new store: one full pull, then exact.
+  ASSERT_TRUE(cluster.Checkpoint().ok());
+  cluster.KillShard(1);
+  ASSERT_TRUE(cluster.RestartShard(1).ok());
+  toggle(UpdateType::kInsert);
+  ExpectCachedExact(cluster, "restart");
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
 // ---- TCP serving tier -----------------------------------------------------
 
 // Listener fleet + coordinator + QuerySession readers over loopback.
@@ -366,6 +474,71 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   ASSERT_FALSE(coord.failed);
   ASSERT_FALSE(reader_cc.failed);
   EXPECT_EQ(coord.num_components, reader_cc.num_components);
+}
+
+TEST_F(ServingTierTcpTest, InterleavedConsumersOfOneFleetStayBitwiseExact) {
+  // No consumer clears anything on a shard: the coordinator's cache and
+  // two reader sessions, each with its own change tokens, pull from
+  // the same listeners in every interleaving while the writer ingests,
+  // and every install equals the full fold at its position. A session
+  // that only missed a one-edge toggle pulls that edge's two records.
+  StartFleet(2);
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.migrate_nodes_per_chunk = kChunk;
+  ShardCluster cluster(BaseConfig(151), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  QuerySession a(ReaderOptions()), b(ReaderOptions());
+  ASSERT_TRUE(a.Connect().ok());
+  ASSERT_TRUE(b.Connect().ok());
+  const auto expect_session_exact = [&](QuerySession& session,
+                                        const std::string& step) {
+    const GraphSnapshot* served = nullptr;
+    const Status s = session.Snapshot(&served);
+    ASSERT_TRUE(s.ok()) << step << ": " << s.ToString();
+    Result<GraphSnapshot> full = cluster.Snapshot();
+    ASSERT_TRUE(full.ok());
+    EXPECT_TRUE(*served == full.value()) << step;
+  };
+  const std::vector<GraphUpdate> updates = BuildStream(151);
+  const size_t burst = updates.size() / 8 + 1;
+  for (size_t fed = 0, step = 0; fed < updates.size(); fed += burst, ++step) {
+    const size_t count = std::min(burst, updates.size() - fed);
+    ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
+    ASSERT_TRUE(cluster.Flush().ok());
+    const std::string at = "burst " + std::to_string(step);
+    // Rotate which consumers read at this position, and in what order.
+    switch (step % 3) {
+      case 0:
+        expect_session_exact(a, at + " a");
+        ExpectCachedExact(cluster, at + " coordinator");
+        break;
+      case 1:
+        ExpectCachedExact(cluster, at + " coordinator");
+        expect_session_exact(b, at + " b");
+        expect_session_exact(a, at + " a");
+        break;
+      default:
+        expect_session_exact(b, at + " b");
+        break;
+    }
+  }
+  expect_session_exact(a, "final a");
+  expect_session_exact(b, "final b");
+  ExpectCachedExact(cluster, "final coordinator");
+
+  const GraphUpdate probe{Edge(9, 60), UpdateType::kInsert};
+  ASSERT_TRUE(cluster.Update(&probe, 1).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  const NodeSketchParams params = cluster.Snapshot().value().params();
+  const uint64_t bytes = a.cache().pulled_bytes();
+  expect_session_exact(a, "toggle a");
+  EXPECT_EQ(a.cache().pulled_bytes() - bytes,
+            kChunksPerShard * GraphSnapshot::kChangedRangesPrefixBytes +
+                GraphSnapshot::SerializedRangeSizeFor(params, 9, 10) +
+                GraphSnapshot::SerializedRangeSizeFor(params, 60, 61));
+  ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
 TEST_F(ServingTierTcpTest, SessionLimitRefusesTheOverflowReaderCleanly) {

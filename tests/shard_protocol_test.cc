@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -678,6 +680,117 @@ TEST_F(ShardServerFixture, OutOfBoundsMigrateRangeIsErrorNotCrash) {
   ExpectErrorReply(StatusCode::kInvalidArgument);
 }
 
+TEST_F(ShardServerFixture, MalformedExtractChangedIsErrorNotCrash) {
+  // Truncated, oversized and out-of-range requests each draw a clean
+  // kError, and the session keeps serving afterwards.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  const std::vector<uint8_t> good = EncodeExtractChanged(0, 16, {});
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kExtractChanged,
+                        good.data(), good.size() - 1)
+                  .ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
+  std::vector<uint8_t> oversized = good;
+  oversized.resize(good.size() + 8, 0);
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kExtractChanged,
+                        oversized.data(), oversized.size())
+                  .ok());
+  ExpectErrorReply(StatusCode::kInvalidArgument);
+  for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{4, 99},
+                               {4, 4},
+                               {9, 3}}) {
+    const std::vector<uint8_t> req = EncodeExtractChanged(lo, hi, {});
+    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kExtractChanged,
+                          req.data(), req.size())
+                    .ok());
+    ExpectErrorReply(StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kExtractChanged,
+                        good.data(), good.size())
+                  .ok());
+  ShardFrame frame;
+  ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+  EXPECT_EQ(frame.type, ShardMessageType::kChangedData);
+}
+
+TEST_F(ShardServerFixture, ExtractChangedReturnsWhatMovedSinceTheToken) {
+  // Over the wire: a pull from the zero token (or a token of another
+  // store) returns every node of the range; a pull from the returned
+  // token returns only the nodes written since; folding the replies
+  // reproduces the shard's snapshot exactly.
+  StartServer();
+  Configure(/*num_nodes=*/16);
+  GraphUpdate first[2] = {{Edge(0, 1), UpdateType::kInsert},
+                          {Edge(1, 9), UpdateType::kInsert}};
+  SendUpdateBatch(first, sizeof(first));
+  auto pull = [this](const ChangeToken& since, std::vector<uint8_t>* out) {
+    const std::vector<uint8_t> req = EncodeExtractChanged(0, 16, since);
+    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kExtractChanged,
+                          req.data(), req.size())
+                    .ok());
+    ShardFrame frame;
+    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+    ASSERT_EQ(frame.type, ShardMessageType::kChangedData);
+    *out = frame.payload;
+  };
+  auto snapshot = [this](GraphSnapshot* out) {
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), ShardMessageType::kSnapshot, nullptr, 0).ok());
+    ShardFrame frame;
+    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+    ASSERT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
+    Result<GraphSnapshot> r =
+        GraphSnapshot::Deserialize(frame.payload.data(),
+                                   frame.payload.size());
+    ASSERT_TRUE(r.ok());
+    *out = std::move(r).value();
+  };
+  GraphSnapshot want;
+  snapshot(&want);
+  const NodeSketchParams params = want.params();
+  GraphSnapshot content(std::vector<NodeSketch>(16, NodeSketch(params)), 0);
+  GraphSnapshot sum = content;
+  ChangeToken token;
+  std::vector<uint8_t> bytes;
+  pull(token, &bytes);
+  EXPECT_EQ(bytes.size(), GraphSnapshot::kChangedRangesPrefixBytes +
+                              GraphSnapshot::SerializedRangeSizeFor(
+                                  params, 0, 16));
+  ASSERT_TRUE(content
+                  .ReplaceChangedNodeRanges(bytes.data(), bytes.size(), &sum,
+                                            &token)
+                  .ok());
+  EXPECT_NE(token.incarnation, 0u);
+  content.SetUpdates(want.num_updates());
+  EXPECT_TRUE(content == want);
+
+  GraphUpdate second{Edge(3, 12), UpdateType::kInsert};
+  SendUpdateBatch(&second, sizeof(second));
+  const ChangeToken before = token;
+  pull(token, &bytes);
+  EXPECT_EQ(bytes.size(),
+            GraphSnapshot::kChangedRangesPrefixBytes +
+                GraphSnapshot::SerializedRangeSizeFor(params, 3, 4) +
+                GraphSnapshot::SerializedRangeSizeFor(params, 12, 13));
+  ASSERT_TRUE(content
+                  .ReplaceChangedNodeRanges(bytes.data(), bytes.size(), &sum,
+                                            &token)
+                  .ok());
+  EXPECT_EQ(token.incarnation, before.incarnation);
+  EXPECT_GT(token.generation, before.generation);
+  snapshot(&want);
+  content.SetUpdates(want.num_updates());
+  EXPECT_TRUE(content == want);
+
+  // A foreign incarnation matches nothing: every node comes back.
+  ChangeToken foreign = token;
+  ++foreign.incarnation;
+  pull(foreign, &bytes);
+  EXPECT_EQ(bytes.size(), GraphSnapshot::kChangedRangesPrefixBytes +
+                              GraphSnapshot::SerializedRangeSizeFor(
+                                  params, 0, 16));
+}
+
 TEST_F(ShardServerFixture, TruncatedMergeDeltaPayloadIsErrorNotCrash) {
   StartServer();
   Configure();
@@ -839,6 +952,10 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       return EncodeRoutingTable(MakeRoutingTable(3));
     case ShardMessageType::kMigrateExtract:
       return EncodeMigrateExtract(0, 32);
+    case ShardMessageType::kExtractChanged:
+      return EncodeExtractChanged(0, 32, ChangeToken{0x1234, 7});
+    case ShardMessageType::kChangedData:
+      return std::vector<uint8_t>(72, 0xC3);  // Opaque changed ranges.
     case ShardMessageType::kHello:
       return std::vector<uint8_t>(kHandshakeNonceBytes, 0x11);
     case ShardMessageType::kChallenge:
@@ -870,8 +987,14 @@ TEST(ShardProtocolTest, EveryByteFlipOfEveryFrameTypeIsACleanStatus) {
   // must return a Status (checksum or decode error). Never a crash,
   // and NEVER an accepted frame: any accepted flip would mean a
   // corruption the protocol cannot see.
+  std::vector<uint16_t> types;
   for (uint16_t t = static_cast<uint16_t>(ShardMessageType::kConfig);
        t <= static_cast<uint16_t>(ShardMessageType::kStatsReply); ++t) {
+    types.push_back(t);
+  }
+  types.push_back(static_cast<uint16_t>(ShardMessageType::kExtractChanged));
+  types.push_back(static_cast<uint16_t>(ShardMessageType::kChangedData));
+  for (const uint16_t t : types) {
     const ShardMessageType type = static_cast<ShardMessageType>(t);
     const std::vector<uint8_t> good = FrameBytes(type,
                                                  RepresentativePayload(type));
@@ -1099,6 +1222,30 @@ TEST(ShardProtocolTest, RoutingTableCarriesAndBoundsTheReplicationFactor) {
               StatusCode::kInvalidArgument)
         << "replication " << bad << " was accepted";
   }
+}
+
+TEST(ShardProtocolTest, ExtractChangedPayloadRoundTrips) {
+  const ChangeToken since{0xFEEDFACECAFEBEEFULL, 41};
+  const std::vector<uint8_t> bytes = EncodeExtractChanged(3, 90, since);
+  ASSERT_EQ(bytes.size(), 4 * sizeof(uint64_t));
+  uint64_t lo = 0, hi = 0;
+  ChangeToken got;
+  ASSERT_TRUE(
+      DecodeExtractChanged(bytes.data(), bytes.size(), &lo, &hi, &got).ok());
+  EXPECT_EQ(lo, 3u);
+  EXPECT_EQ(hi, 90u);
+  EXPECT_EQ(got, since);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_EQ(DecodeExtractChanged(bytes.data(), cut, &lo, &hi, &got).code(),
+              StatusCode::kInvalidArgument)
+        << "truncated to " << cut << " bytes was accepted";
+  }
+  std::vector<uint8_t> padded = bytes;
+  padded.push_back(0);
+  EXPECT_EQ(
+      DecodeExtractChanged(padded.data(), padded.size(), &lo, &hi, &got)
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(ShardProtocolTest, SyncPositionPayloadRoundTrips) {
@@ -1501,6 +1648,50 @@ TEST_F(ReaderSessionFixture, ReaderServesReadOnlyFramesConcurrently) {
   ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
   EXPECT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
   EXPECT_FALSE(frame.payload.empty());
+}
+
+TEST_F(ReaderSessionFixture, ReaderMayExtractChangedAndBadRequestsAreErrors) {
+  Start();
+  Configure();
+  IngestOneEdge();
+  ShardFrame frame;
+  const std::vector<uint8_t> req = EncodeExtractChanged(0, 16, {});
+  ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kExtractChanged,
+                        req.data(), req.size())
+                  .ok());
+  ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kChangedData);
+  ChangeToken token;
+  std::memcpy(&token.incarnation, frame.payload.data(), 8);
+  std::memcpy(&token.generation, frame.payload.data() + 8, 8);
+  // Nothing moved since: the reply is the bare prefix, no records.
+  const std::vector<uint8_t> again = EncodeExtractChanged(0, 16, token);
+  ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kExtractChanged,
+                        again.data(), again.size())
+                  .ok());
+  ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
+  ASSERT_EQ(frame.type, ShardMessageType::kChangedData);
+  EXPECT_EQ(frame.payload.size(), GraphSnapshot::kChangedRangesPrefixBytes);
+  // Malformed and out-of-range requests: kError, session intact.
+  const std::vector<uint8_t> out_of_range = EncodeExtractChanged(2, 17, {});
+  for (const std::vector<uint8_t>& bad :
+       {std::vector<uint8_t>(req.begin(), req.end() - 3), out_of_range}) {
+    ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kExtractChanged,
+                          bad.data(), bad.size())
+                    .ok());
+    ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
+    ASSERT_EQ(frame.type, ShardMessageType::kError);
+    bool decode_ok = false;
+    EXPECT_EQ(DecodeShardError(frame.payload.data(), frame.payload.size(),
+                               &decode_ok)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(decode_ok);
+  }
+  ASSERT_TRUE(
+      SendFrame(rp_.a(), ShardMessageType::kPing, nullptr, 0).ok());
+  ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
+  EXPECT_EQ(frame.type, ShardMessageType::kAck);
 }
 
 TEST_F(ReaderSessionFixture, ReaderCannotMutateAndSessionSurvives) {

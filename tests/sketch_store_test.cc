@@ -138,6 +138,107 @@ TEST_P(SketchStoreTest, ConcurrentMergesMatchSerial) {
   }
 }
 
+TEST_P(SketchStoreTest, RecordFormsMatchSketchForms) {
+  // SerializeNode is Load + SerializeTo; MergeSerializedNode is
+  // DeserializeFrom + MergeDelta — byte for byte, with no scratch
+  // sketch in between.
+  const NodeSketchParams params = MakeParams(5, 10);
+  auto store = MakeStore(params, "store_records.bin");
+  const NodeSketchParams real = store->params();
+  ASSERT_EQ(store->record_bytes(), NodeSketch::SerializedSizeFor(real));
+  store->MergeDelta(3, SketchOf(real, {2, 7}));
+  std::vector<uint8_t> record(store->record_bytes());
+  store->SerializeNode(3, record.data());
+  std::vector<uint8_t> want(store->record_bytes());
+  SketchOf(real, {2, 7}).SerializeTo(want.data());
+  EXPECT_EQ(record, want);
+
+  std::vector<uint8_t> delta(store->record_bytes());
+  SketchOf(real, {7, 9}).SerializeTo(delta.data());
+  store->MergeSerializedNode(3, delta.data());
+  NodeSketch got(real);
+  store->Load(3, &got);
+  EXPECT_EQ(got, SketchOf(real, {2, 9}));
+}
+
+TEST_P(SketchStoreTest, EveryMutationStampsItsNode) {
+  // Each mutating call stamps exactly its node with the generation
+  // current at the call; reads stamp nothing. AdvanceGeneration()
+  // returns the generation in force and moves past it, so a change
+  // after it stamps strictly above the returned value.
+  const NodeSketchParams params = MakeParams(6, 11);
+  auto store = MakeStore(params, "store_stamps.bin");
+  const NodeSketchParams real = store->params();
+  for (NodeId i = 0; i < 6; ++i) EXPECT_EQ(store->stamp(i), 0u);
+
+  const uint64_t g0 = store->AdvanceGeneration();
+  store->MergeDelta(1, SketchOf(real, {4}));
+  EXPECT_GT(store->stamp(1), g0);
+
+  const uint64_t g1 = store->AdvanceGeneration();
+  EXPECT_GT(g1, g0);
+  EXPECT_LE(store->stamp(1), g1);
+  store->Store(2, SketchOf(real, {5}));
+  EXPECT_GT(store->stamp(2), g1);
+
+  const uint64_t g2 = store->AdvanceGeneration();
+  std::vector<uint8_t> record(store->record_bytes());
+  SketchOf(real, {6}).SerializeTo(record.data());
+  store->MergeSerializedNode(4, record.data());
+  EXPECT_GT(store->stamp(4), g2);
+
+  // Reads leave every stamp where it was; untouched nodes stay at 0.
+  const uint64_t before[3] = {store->stamp(1), store->stamp(2),
+                              store->stamp(4)};
+  NodeSketch scratch(real);
+  for (NodeId i = 0; i < 6; ++i) {
+    store->Load(i, &scratch);
+    store->SerializeNode(i, record.data());
+  }
+  EXPECT_EQ(store->stamp(1), before[0]);
+  EXPECT_EQ(store->stamp(2), before[1]);
+  EXPECT_EQ(store->stamp(4), before[2]);
+  EXPECT_EQ(store->stamp(0), 0u);
+  EXPECT_EQ(store->stamp(3), 0u);
+  EXPECT_EQ(store->stamp(5), 0u);
+}
+
+TEST_P(SketchStoreTest, ConcurrentMergesStampAboveTheLastRead) {
+  // Workers merge while a reader advances the generation between
+  // rounds (the extract's pattern: merges are joined before the read).
+  // After every round, each node merged in it stamps above the
+  // generation the previous read returned.
+  const NodeSketchParams params = MakeParams(8, 12);
+  auto store = MakeStore(params, "store_stamp_conc.bin");
+  const NodeSketchParams real = store->params();
+  for (int round = 0; round < 5; ++round) {
+    const uint64_t read_at = store->AdvanceGeneration();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        for (int d = 0; d < 10; ++d) {
+          store->MergeDelta(static_cast<NodeId>((t + round) % 8),
+                            SketchOf(real, {static_cast<uint64_t>(d + 1)}));
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int t = 0; t < 4; ++t) {
+      EXPECT_GT(store->stamp(static_cast<NodeId>((t + round) % 8)), read_at)
+          << "round " << round;
+    }
+  }
+}
+
+TEST_P(SketchStoreTest, IncarnationsDifferAcrossStores) {
+  const NodeSketchParams params = MakeParams(4, 13);
+  auto a = MakeStore(params, "store_inc_a.bin");
+  auto b = MakeStore(params, "store_inc_b.bin");
+  EXPECT_NE(a->incarnation(), 0u);
+  EXPECT_NE(b->incarnation(), 0u);
+  EXPECT_NE(a->incarnation(), b->incarnation());
+}
+
 INSTANTIATE_TEST_SUITE_P(RamAndDisk, SketchStoreTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {

@@ -27,6 +27,19 @@ GraphZeppelinConfig Config() {
   return c;
 }
 
+// The in-process form of a shard's changed-only pull.
+Status PullChanged(GraphZeppelin& shard, uint64_t lo, uint64_t hi,
+                   const ChangeToken& since, std::vector<uint8_t>* changed) {
+  changed->clear();
+  return shard.WriteChangedNodeRangesTo(
+      lo, hi, since, [](size_t) { return Status::Ok(); },
+      [changed](const void* data, size_t size) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        changed->insert(changed->end(), p, p + size);
+        return Status::Ok();
+      });
+}
+
 // A toy "cluster": per-shard in-process instances, watermarks tracked
 // the way a coordinator tracks them (ingested count, delta_seq 0).
 class SnapshotCachePlanTest : public ::testing::Test {
@@ -52,6 +65,40 @@ class SnapshotCachePlanTest : public ::testing::Test {
   void Ingest(int shard, const std::vector<GraphUpdate>& updates) {
     for (const GraphUpdate& u : updates) shards_[shard]->Update(u);
     shards_[shard]->Flush();
+    if (logs_.size() <= static_cast<size_t>(shard)) logs_.resize(shard + 1);
+    logs_[shard].insert(logs_[shard].end(), updates.begin(), updates.end());
+  }
+
+  // A restarted shard: a new instance (a new store, so a new
+  // incarnation) that replays the shard's log to the same content.
+  void Restart(int shard) {
+    shards_[shard] = std::make_unique<GraphZeppelin>(Config());
+    ASSERT_TRUE(shards_[shard]->Init().ok());
+    for (const GraphUpdate& u : logs_[shard]) shards_[shard]->Update(u);
+    shards_[shard]->Flush();
+  }
+
+  // Bytes of a changed-range stream carrying one single-node record
+  // per entry of `nodes` (none adjacent), pulled in `chunks` chunks.
+  size_t StreamBytes(const std::vector<uint64_t>& nodes, int chunks) const {
+    size_t bytes = chunks * GraphSnapshot::kChangedRangesPrefixBytes;
+    for (const uint64_t v : nodes) {
+      bytes += GraphSnapshot::SerializedRangeSizeFor(
+          shards_[0]->sketch_params(), v, v + 1);
+    }
+    return bytes;
+  }
+
+  // Refresh through the in-process changed-only puller.
+  void Refresh(SnapshotCache* cache, uint64_t epoch,
+               const ShardWatermarks& marks) {
+    const Status s = cache->Refresh(
+        epoch, marks, 0, shards_[0]->sketch_params(),
+        [this](int shard, uint64_t lo, uint64_t hi, const ChangeToken& since,
+               std::vector<uint8_t>* changed) {
+          return PullChanged(*shards_[shard], lo, hi, since, changed);
+        });
+    ASSERT_TRUE(s.ok()) << s.ToString();
   }
 
   // The cluster position over the live (non-vanished) shards.
@@ -75,10 +122,10 @@ class SnapshotCachePlanTest : public ::testing::Test {
     const Status s = cache_.Refresh(
         epoch, marks, /*total_updates=*/0, shards_[0]->sketch_params(),
         [this, &pulled](int shard, uint64_t lo, uint64_t hi,
-                        std::vector<uint8_t>* delta) {
+                        const ChangeToken& since,
+                        std::vector<uint8_t>* changed) {
           pulled.push_back(shard);
-          *delta = shards_[shard]->Snapshot().ExtractNodeRange(lo, hi);
-          return Status::Ok();
+          return PullChanged(*shards_[shard], lo, hi, since, changed);
         });
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::sort(plan.begin(), plan.end());
@@ -90,6 +137,10 @@ class SnapshotCachePlanTest : public ::testing::Test {
   // Bitwise ground truth: the cached merged snapshot must equal the
   // XOR-fold of the live shards' current snapshots.
   void CheckMergedBitwise(const std::vector<int>& live) {
+    CheckMergedBitwise(cache_, live);
+  }
+  void CheckMergedBitwise(const SnapshotCache& cache,
+                          const std::vector<int>& live) {
     GraphSnapshot want = shards_[live[0]]->Snapshot();
     for (size_t i = 1; i < live.size(); ++i) {
       const std::vector<uint8_t> bytes =
@@ -98,10 +149,11 @@ class SnapshotCachePlanTest : public ::testing::Test {
           want.MergeSerializedNodeRange(bytes.data(), bytes.size()).ok());
     }
     EXPECT_EQ(want.ExtractNodeRange(0, kNodes),
-              cache_.merged().ExtractNodeRange(0, kNodes));
+              cache.merged().ExtractNodeRange(0, kNodes));
   }
 
   std::vector<std::unique_ptr<GraphZeppelin>> shards_;
+  std::vector<std::vector<GraphUpdate>> logs_;
   SnapshotCache cache_{/*nodes_per_chunk=*/0};
 };
 
@@ -165,6 +217,185 @@ TEST_F(SnapshotCachePlanTest, InvalidatedCachePlansEveryShard) {
   EXPECT_EQ(plan, (std::vector<int>{0, 1, 2}));
   RefreshAndCheckPlan(1, marks);
   CheckMergedBitwise({0, 1, 2, 3});
+}
+
+TEST_F(SnapshotCachePlanTest, OneEdgeToggleRefreshesItsTwoEndpointRecords) {
+  const ShardWatermarks cold = Marks({0, 1, 2});
+  RefreshAndCheckPlan(1, cold);
+  // Edge (4, 17) toggled on shard 1: the refresh pulls shard 1 alone,
+  // and from it exactly the records of nodes 4 and 17.
+  for (const UpdateType type : {UpdateType::kInsert, UpdateType::kDelete}) {
+    Ingest(1, {{Edge(4, 17), type}});
+    const uint64_t bytes = cache_.pulled_bytes();
+    RefreshAndCheckPlan(1, Marks({0, 1, 2}));
+    EXPECT_EQ(cache_.pulled_bytes() - bytes, StreamBytes({4, 17}, 1));
+    CheckMergedBitwise({0, 1, 2});
+  }
+  // Chunked pulls: one RPC per chunk still, but only the changed
+  // records travel.
+  SnapshotCache chunked(/*nodes_per_chunk=*/5);
+  Refresh(&chunked, 1, Marks({0, 1, 2}));
+  Ingest(2, {{Edge(1, 22), UpdateType::kInsert}});
+  const uint64_t pulls = chunked.range_pulls();
+  const uint64_t bytes = chunked.pulled_bytes();
+  Refresh(&chunked, 1, Marks({0, 1, 2}));
+  EXPECT_EQ(chunked.range_pulls() - pulls, 5u);  // ceil(24 / 5) chunks.
+  EXPECT_EQ(chunked.pulled_bytes() - bytes, StreamBytes({1, 22}, 5));
+  CheckMergedBitwise(chunked, {0, 1, 2});
+}
+
+TEST_F(SnapshotCachePlanTest, BulkIngestRestartAndInvalidateStayExact) {
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  const size_t full = GraphSnapshot::kChangedRangesPrefixBytes +
+                      GraphSnapshot::SerializedRangeSizeFor(
+                          shards_[0]->sketch_params(), 0, kNodes);
+  // Bulk ingest on two shards: exact, and never more than full pulls.
+  std::vector<GraphUpdate> bulk;
+  for (NodeId v = 9; v + 1 < kNodes; ++v) {
+    bulk.push_back({Edge(v, v + 1), UpdateType::kInsert});
+  }
+  Ingest(0, bulk);
+  Ingest(2, {{Edge(0, 23), UpdateType::kInsert}});
+  uint64_t bytes = cache_.pulled_bytes();
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  EXPECT_LE(cache_.pulled_bytes() - bytes, 2 * full);
+  CheckMergedBitwise({0, 1, 2});
+
+  // A restarted shard is a new store: its token matches nothing, so the
+  // refresh pulls all of it once, then goes back to changed-only pulls.
+  Restart(1);
+  Ingest(1, {{Edge(2, 20), UpdateType::kInsert}});
+  bytes = cache_.pulled_bytes();
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  EXPECT_EQ(cache_.pulled_bytes() - bytes, full);
+  CheckMergedBitwise({0, 1, 2});
+  Ingest(1, {{Edge(2, 20), UpdateType::kDelete}});
+  bytes = cache_.pulled_bytes();
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  EXPECT_EQ(cache_.pulled_bytes() - bytes, StreamBytes({2, 20}, 1));
+  CheckMergedBitwise({0, 1, 2});
+
+  // Invalidate drops every token: the next refresh is a cold build of
+  // full pulls through the same path.
+  cache_.Invalidate();
+  EXPECT_EQ(cache_.change_token(0), ChangeToken{});
+  bytes = cache_.pulled_bytes();
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  EXPECT_EQ(cache_.pulled_bytes() - bytes, 3 * full);
+  CheckMergedBitwise({0, 1, 2});
+}
+
+TEST_F(SnapshotCachePlanTest, ChunksFromDifferentStoresKeepTheZeroToken) {
+  // A failover between two chunks of one shard: chunk 0 comes from the
+  // shard, chunk 1 from a bitwise-equal replica (another store). The
+  // content is exact either way, but no single token describes it, so
+  // the next pull of that shard is a full one.
+  SnapshotCache cache(/*nodes_per_chunk=*/12);
+  GraphZeppelin replica(Config());
+  ASSERT_TRUE(replica.Init().ok());
+  for (const GraphUpdate& u : logs_[1]) replica.Update(u);
+  const auto refresh = [&](bool failover) {
+    const Status s = cache.Refresh(
+        1, Marks({0, 1, 2}), 0, shards_[0]->sketch_params(),
+        [&](int shard, uint64_t lo, uint64_t hi, const ChangeToken& since,
+            std::vector<uint8_t>* changed) {
+          GraphZeppelin& from =
+              failover && shard == 1 && lo > 0 ? replica : *shards_[shard];
+          return PullChanged(from, lo, hi, since, changed);
+        });
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+  refresh(false);
+  Ingest(1, {{Edge(3, 15), UpdateType::kInsert}});
+  replica.Update({Edge(3, 15), UpdateType::kInsert});
+  refresh(true);
+  CheckMergedBitwise(cache, {0, 1, 2});
+  EXPECT_EQ(cache.change_token(1), ChangeToken{});
+  Ingest(1, {{Edge(3, 15), UpdateType::kDelete}});
+  const uint64_t bytes = cache.pulled_bytes();
+  refresh(false);
+  const NodeSketchParams& params = shards_[0]->sketch_params();
+  EXPECT_EQ(cache.pulled_bytes() - bytes,
+            2 * GraphSnapshot::kChangedRangesPrefixBytes +
+                GraphSnapshot::SerializedRangeSizeFor(params, 0, 12) +
+                GraphSnapshot::SerializedRangeSizeFor(params, 12, kNodes));
+  CheckMergedBitwise(cache, {0, 1, 2});
+}
+
+TEST_F(SnapshotCachePlanTest, ChangesBetweenChunkPullsArePulledNextTime) {
+  // One shard pulled in two chunks, with a write landing on chunk 0's
+  // nodes after chunk 0 was pulled but before chunk 1 was. The token
+  // kept is chunk 0's, so the next refresh still sees that write (a
+  // token from chunk 1 would have hidden it for good).
+  SnapshotCache cache(/*nodes_per_chunk=*/12);
+  Refresh(&cache, 1, Marks({0, 1, 2}));
+  Ingest(1, {{Edge(13, 20), UpdateType::kInsert}});
+  const ShardWatermarks moved = Marks({0, 1, 2});
+  const Status s = cache.Refresh(
+      1, moved, 0, shards_[0]->sketch_params(),
+      [&](int shard, uint64_t lo, uint64_t hi, const ChangeToken& since,
+          std::vector<uint8_t>* changed) {
+        if (shard == 1 && lo == 12) {
+          Ingest(1, {{Edge(2, 5), UpdateType::kInsert}});
+        }
+        return PullChanged(*shards_[shard], lo, hi, since, changed);
+      });
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  Refresh(&cache, 1, Marks({0, 1, 2}));
+  CheckMergedBitwise(cache, {0, 1, 2});
+}
+
+TEST_F(SnapshotCachePlanTest, InterleavedConsumersOfOneShardStayExact) {
+  // No reader clears anything: two caches reading the same shards in
+  // any interleaving each see exactly the changes since their own
+  // last read.
+  SnapshotCache other(/*nodes_per_chunk=*/7);
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  for (int step = 0; step < 6; ++step) {
+    const NodeId u = static_cast<NodeId>(step);
+    Ingest(step % 3, {{Edge(u, u + 12), UpdateType::kInsert}});
+    if (step % 2 == 0) {
+      Refresh(&other, 1, Marks({0, 1, 2}));
+      CheckMergedBitwise(other, {0, 1, 2});
+    } else {
+      Refresh(&cache_, 1, Marks({0, 1, 2}));
+      CheckMergedBitwise({0, 1, 2});
+    }
+  }
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  Refresh(&other, 1, Marks({0, 1, 2}));
+  CheckMergedBitwise({0, 1, 2});
+  CheckMergedBitwise(other, {0, 1, 2});
+}
+
+TEST_F(SnapshotCachePlanTest, MalformedChangedStreamInvalidatesTheCache) {
+  Refresh(&cache_, 1, Marks({0, 1, 2}));
+  Ingest(0, {{Edge(6, 7), UpdateType::kInsert}});
+  std::vector<uint8_t> good;
+  const ChangeToken since = cache_.change_token(0);
+  ASSERT_TRUE(PullChanged(*shards_[0], 0, kNodes, since, &good).ok());
+  std::vector<std::vector<uint8_t>> bad;
+  bad.emplace_back(good.begin(), good.end() - 1);  // Truncated record.
+  bad.push_back(good);
+  bad.back().push_back(0);                          // Trailing byte.
+  bad.push_back(good);
+  bad.back()[16] = 2;                               // Record count 2 of 1.
+  bad.emplace_back(good.begin(), good.begin() + 10);  // Short prefix.
+  for (const std::vector<uint8_t>& bytes : bad) {
+    SnapshotCache cache(/*nodes_per_chunk=*/0);
+    Refresh(&cache, 1, Marks({0, 1, 2}));
+    ShardWatermarks moved = Marks({0, 1, 2});
+    ++moved[0].delta_seq;
+    const Status s = cache.Refresh(
+        1, moved, 0, shards_[0]->sketch_params(),
+        [&](int, uint64_t, uint64_t, const ChangeToken&,
+            std::vector<uint8_t>* changed) {
+          *changed = bytes;
+          return Status::Ok();
+        });
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(cache.valid());
+  }
 }
 
 }  // namespace

@@ -429,7 +429,7 @@ int main(int argc, char** argv) {
         "\"components\":%zu,\"forest_edges\":%zu,\"rounds\":%d,"
         "\"refresh_seconds\":%.6f,\"query_seconds\":%.6f,"
         "\"seqlock_rounds\":%d,\"range_pulls\":%llu,"
-        "\"cold_builds\":%llu}\n",
+        "\"pulled_bytes\":%llu,\"cold_builds\":%llu}\n",
         mode.c_str(),
         static_cast<unsigned long long>(snap->params().num_nodes),
         static_cast<unsigned long long>(snap->num_updates()),
@@ -437,15 +437,18 @@ int main(int argc, char** argv) {
         result.rounds_used, refresh_seconds, query_seconds,
         session->last_refresh_rounds(),
         static_cast<unsigned long long>(cache.range_pulls()),
+        static_cast<unsigned long long>(cache.pulled_bytes()),
         static_cast<unsigned long long>(cache.cold_builds()));
   } else {
     std::printf("snapshot  %llu nodes, %llu updates served "
-                "(refresh %.3fs, %d seqlock round%s, %llu range pulls)\n",
+                "(refresh %.3fs, %d seqlock round%s, %llu range pulls, "
+                "%llu bytes)\n",
                 static_cast<unsigned long long>(snap->params().num_nodes),
                 static_cast<unsigned long long>(snap->num_updates()),
                 refresh_seconds, session->last_refresh_rounds(),
                 session->last_refresh_rounds() == 1 ? "" : "s",
-                static_cast<unsigned long long>(cache.range_pulls()));
+                static_cast<unsigned long long>(cache.range_pulls()),
+                static_cast<unsigned long long>(cache.pulled_bytes()));
     std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
                 result.rounds_used);
     std::printf("components %zu, spanning forest %zu edges\n",
